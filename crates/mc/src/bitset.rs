@@ -30,6 +30,16 @@ impl StateSet {
         s
     }
 
+    /// Adopts `blocks` as the bit-words of a set over `len` states: bit `k`
+    /// of block `b` is state `64·b + k`. Missing blocks read as empty;
+    /// blocks and bits beyond `len` are dropped.
+    pub(crate) fn from_blocks(mut blocks: Vec<u64>, len: usize) -> Self {
+        blocks.resize(len.div_ceil(64), 0);
+        let mut s = StateSet { blocks, len };
+        s.trim();
+        s
+    }
+
     fn trim(&mut self) {
         let rem = self.len % 64;
         if rem != 0 {
@@ -237,6 +247,18 @@ mod tests {
     fn iteration_order() {
         let s: StateSet = [65usize, 2, 130].into_iter().collect();
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![2, 65, 130]);
+    }
+
+    #[test]
+    fn from_blocks_trims_beyond_len() {
+        let s = StateSet::from_blocks(vec![u64::MAX, u64::MAX, 7], 70);
+        assert_eq!(s.universe(), 70);
+        assert_eq!(s.count(), 70, "bits past 70 and the third block dropped");
+        assert_eq!(s, StateSet::full(70));
+        let short = StateSet::from_blocks(vec![0b101], 130);
+        assert_eq!(short.iter().collect::<Vec<_>>(), vec![0, 2]);
+        assert_eq!(short.universe(), 130, "missing blocks read as empty");
+        assert!(StateSet::from_blocks(vec![1], 0).is_empty());
     }
 
     #[test]

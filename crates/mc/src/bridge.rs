@@ -10,15 +10,51 @@
 //! Fairness constraints are given as net names: the set of pairs where the
 //! net is true must recur on fair paths (used for "the environment offers
 //! data / accepts data infinitely often" when checking liveness).
+//!
+//! # Exploration kernel
+//!
+//! Successors are computed on the same levelized tape that backs every
+//! simulation throughput number: [`Program::compile`] run in a 512-lane
+//! [`WideSim`], so one settle evaluates 512 (state, input) pairs. The tape
+//! is the *unoptimized* one — peephole passes keep only outputs and state
+//! exact, while every named net is an atom here.
+//!
+//! * **Lane layout.** With `combos = 2^inputs` input valuations, lane `l`
+//!   carries input bit `b < 9` as `(l >> b) & 1`, a pattern computed once.
+//!   When `combos < 512`, lane group `g` (`combos` lanes) carries frontier
+//!   state `frontier + g`, so one pass covers `512 / combos` states.
+//!   Otherwise one state takes `combos / 512` passes, and input bits
+//!   `b ≥ 9` are splatted from the pass index.
+//! * **Numbering.** A batch holds only already-discovered states and its
+//!   lanes are consumed in (state, combo) order, so every pass covers a
+//!   contiguous run of pair ids `state · combos + combo`. New states get
+//!   exactly the BFS numbers a pair-at-a-time exploration assigns, and the
+//!   state budget trips at the same pair.
+//! * **Successors and atoms.** A lane's next state is read from the
+//!   flip-flop data slots (for latches, the latch slot itself) and keyed
+//!   as packed `u64` words. Each atom's lane words are appended to a
+//!   bit-stream over pair ids: one word operation per 64 pairs.
 
 use std::collections::HashMap;
 
-use elastic_netlist::sim::Simulator;
-use elastic_netlist::Netlist;
+use elastic_netlist::levelize::Program;
+use elastic_netlist::wide::{lane_mask, lane_masks, WideSim, LANES};
+use elastic_netlist::{Gate, NetId, Netlist};
 
 use crate::bitset::StateSet;
 use crate::error::McError;
 use crate::kripke::{Kripke, StateId};
+
+/// Lane words of the exploration kernel.
+const WORDS: usize = 8;
+/// (state, input) pairs evaluated per settle.
+const PASS_LANES: usize = WORDS * LANES;
+/// Input bits addressed by the lane index; higher bits come from the pass
+/// index.
+const LANE_BITS: usize = PASS_LANES.trailing_zeros() as usize;
+
+/// One value per lane of a pass.
+type Lanes = [u64; WORDS];
 
 /// Budgets for the exhaustive exploration.
 #[derive(Debug, Clone, Copy)]
@@ -49,8 +85,10 @@ pub struct NetlistKripke {
     atoms: HashMap<String, StateSet>,
     /// Fairness sets over pairs.
     fairness: Vec<StateSet>,
-    /// Stored flip-flop states (for state descriptions in witnesses).
-    ff_states: Vec<Vec<bool>>,
+    /// Discovered flip-flop states in BFS order, `key_words` packed words
+    /// each (bit `j` is state element `j`).
+    ff_states: Vec<u64>,
+    key_words: usize,
     /// Names of the state nets and input nets, for descriptions.
     state_names: Vec<String>,
     input_names: Vec<String>,
@@ -59,7 +97,7 @@ pub struct NetlistKripke {
 impl NetlistKripke {
     /// Number of distinct flip-flop states discovered.
     pub fn num_ff_states(&self) -> usize {
-        self.ff_states.len()
+        self.delta.len() / self.combos
     }
 
     /// Decomposes a pair id into (flip-flop state index, input index).
@@ -97,7 +135,7 @@ impl NetlistKripke {
             .collect();
         let arm_mask: usize = fault_bits.iter().map(|&b| 1usize << b).sum();
         let clean: Vec<usize> = (0..self.combos).filter(|c| c & arm_mask == 0).collect();
-        let nff = self.ff_states.len();
+        let nff = self.num_ff_states();
 
         // Legal set: BFS from reset over arm-low transitions only.
         let mut legal = vec![false; nff];
@@ -180,7 +218,7 @@ pub struct ConvergenceReport {
 }
 
 /// Explores the reachable states of `netlist` under all input sequences and
-/// builds the Kripke structure.
+/// builds the Kripke structure (see the module docs for the lane layout).
 ///
 /// Every named net becomes an atom; `fairness_nets` lists net names whose
 /// truth must recur along fair paths.
@@ -190,7 +228,7 @@ pub struct ConvergenceReport {
 /// * [`McError::Budget`] when the input count or state budget is exceeded;
 /// * [`McError::UnknownAtom`] when a fairness net name does not exist;
 /// * [`McError::Netlist`] for netlist construction errors (unbound state,
-///   combinational cycles, oscillation).
+///   combinational cycles).
 pub fn netlist_kripke(
     netlist: &Netlist,
     fairness_nets: &[&str],
@@ -216,7 +254,7 @@ pub fn netlist_kripke(
             limit: opts.max_inputs.min(usize::BITS as usize - 1),
         });
     };
-    let mut sim = Simulator::new(netlist)?;
+    let prog = Program::compile(netlist)?;
     let inputs: Vec<_> = netlist.inputs().to_vec();
     let named: Vec<(String, _)> = netlist
         .named_nets()
@@ -229,71 +267,116 @@ pub fn netlist_kripke(
         }
     }
 
-    // Pass 1: BFS over flip-flop states; record successor and atom bits per
-    // (state, input) pair.
-    let initial = sim.state();
-    let mut index: HashMap<Vec<bool>, usize> = HashMap::new();
-    let mut ff_states = vec![initial.clone()];
-    index.insert(initial, 0);
-    // labels[pair] -> bitmask over named nets is too wide; store per-atom
-    // pair lists instead.
-    let mut atom_pairs: Vec<Vec<usize>> = vec![Vec::new(); named.len()];
+    let state_nets = prog.state_nets().to_vec();
+    // Where each state bit's successor settles: a flip-flop's data input,
+    // a latch's own output.
+    let next_nets: Vec<NetId> = state_nets
+        .iter()
+        .map(|&n| match netlist.gate(n) {
+            Gate::Dff { d: Some(d), .. } => *d,
+            _ => n,
+        })
+        .collect();
+    let key_words = state_nets.len().div_ceil(64);
+    let mut ff_states = vec![0u64; key_words];
+    for (j, n) in state_nets.iter().enumerate() {
+        if prog.init()[n.index()] {
+            ff_states[j / 64] |= 1 << (j % 64);
+        }
+    }
+    let mut index: HashMap<Box<[u64]>, u32> = HashMap::new();
+    index.insert(ff_states.clone().into_boxed_slice(), 0);
+    let mut num_states = 1usize;
+
+    let group = combos.min(PASS_LANES);
+    let states_per_pass = PASS_LANES / group;
+    let passes_per_state = combos / group;
+    let lane_bits: Vec<Lanes> = (0..num_inputs.min(LANE_BITS))
+        .map(|b| lane_pattern(|l| l >> b & 1 == 1))
+        .collect();
+    let group_masks: Vec<Lanes> = (0..states_per_pass)
+        .map(|g| lane_pattern(|l| l / group == g))
+        .collect();
+
+    let mut sim = WideSim::<WORDS>::from_program(prog);
+    let mut state_words: Vec<Lanes> = vec![[0; WORDS]; state_nets.len()];
+    let mut next_keys = vec![0u64; PASS_LANES * key_words];
+    let mut atom_bits: Vec<PairBits> = named.iter().map(|_| PairBits::default()).collect();
     let mut delta: Vec<u32> = Vec::new();
     let mut frontier = 0usize;
-    while frontier < ff_states.len() {
-        let state = ff_states[frontier].clone();
-        for combo in 0..combos {
-            sim.load_state(&state)?;
-            for (bit, &inp) in inputs.iter().enumerate() {
-                sim.set_input(inp, combo >> bit & 1 == 1)?;
-            }
-            sim.settle()?;
-            let pair = frontier * combos + combo;
-            debug_assert_eq!(delta.len(), pair);
-            for (ai, (_, net)) in named.iter().enumerate() {
-                if sim.value(*net) {
-                    atom_pairs[ai].push(pair);
+    while frontier < num_states {
+        let batch = states_per_pass.min(num_states - frontier);
+        let live = batch * group;
+        let live_masks = lane_masks::<WORDS>(live);
+        state_words.fill([0; WORDS]);
+        for (g, mask) in group_masks.iter().enumerate().take(batch) {
+            let key = &ff_states[(frontier + g) * key_words..][..key_words];
+            for j in set_bits(key) {
+                for (s, m) in state_words[j].iter_mut().zip(mask) {
+                    *s |= m;
                 }
             }
-            let next = sim.next_state();
-            let ni = match index.get(&next) {
-                Some(&i) => i,
-                None => {
-                    let i = ff_states.len();
-                    if i >= opts.max_ff_states {
-                        return Err(McError::Budget {
-                            what: "states",
-                            limit: opts.max_ff_states,
-                        });
-                    }
-                    index.insert(next.clone(), i);
-                    ff_states.push(next);
-                    i
-                }
-            };
-            delta.push(ni as u32);
         }
-        frontier += 1;
+        for pass in 0..passes_per_state {
+            // The settle writes transparent latches, which are state, so
+            // every pass starts from a fresh load.
+            sim.load_state_words(&state_words)?;
+            for (b, &inp) in inputs.iter().enumerate() {
+                let words = match lane_bits.get(b) {
+                    Some(&w) => w,
+                    None if pass >> (b - LANE_BITS) & 1 == 1 => [u64::MAX; WORDS],
+                    None => [0; WORDS],
+                };
+                sim.set_input_words(inp, words)?;
+            }
+            sim.settle();
+            for (bits, (_, net)) in atom_bits.iter_mut().zip(&named) {
+                bits.append(&lane_words(&sim, *net), live);
+            }
+            // Transpose the successor bits into one packed key per lane.
+            next_keys.fill(0);
+            for (j, &net) in next_nets.iter().enumerate() {
+                for (w, mask) in live_masks.iter().enumerate() {
+                    for k in set_bits(&[sim.word(net, w) & mask]) {
+                        next_keys[(w * LANES + k) * key_words + j / 64] |= 1 << (j % 64);
+                    }
+                }
+            }
+            for lane in 0..live {
+                let key = &next_keys[lane * key_words..(lane + 1) * key_words];
+                let next = match index.get(key) {
+                    Some(&i) => i,
+                    None => {
+                        if num_states >= opts.max_ff_states {
+                            return Err(McError::Budget {
+                                what: "states",
+                                limit: opts.max_ff_states,
+                            });
+                        }
+                        let i = num_states as u32;
+                        index.insert(key.into(), i);
+                        ff_states.extend_from_slice(key);
+                        num_states += 1;
+                        i
+                    }
+                };
+                delta.push(next);
+            }
+        }
+        frontier += batch;
     }
 
-    let n_pairs = ff_states.len() * combos;
-    let mut atoms = HashMap::new();
-    for (ai, (name, _)) in named.iter().enumerate() {
-        let mut set = StateSet::empty(n_pairs);
-        for &p in &atom_pairs[ai] {
-            set.insert(p);
-        }
-        atoms.insert(name.clone(), set);
-    }
+    let n_pairs = delta.len();
+    let atoms: HashMap<String, StateSet> = named
+        .into_iter()
+        .zip(atom_bits)
+        .map(|((name, _), bits)| (name, StateSet::from_blocks(bits.words, n_pairs)))
+        .collect();
     let fairness = fairness_nets
         .iter()
         .map(|f| atoms.get(*f).expect("validated above").clone())
         .collect();
-    let state_names = sim
-        .state_nets()
-        .iter()
-        .map(|&n| netlist.net_name(n))
-        .collect();
+    let state_names = state_nets.iter().map(|&n| netlist.net_name(n)).collect();
     let input_names = inputs.iter().map(|&n| netlist.net_name(n)).collect();
     Ok(NetlistKripke {
         combos,
@@ -301,9 +384,66 @@ pub fn netlist_kripke(
         atoms,
         fairness,
         ff_states,
+        key_words,
         state_names,
         input_names,
     })
+}
+
+/// The lane words with bit `l` set iff `f(l)`.
+fn lane_pattern(f: impl Fn(usize) -> bool) -> Lanes {
+    let mut words = [0; WORDS];
+    for l in (0..PASS_LANES).filter(|&l| f(l)) {
+        words[l / LANES] |= 1 << (l % LANES);
+    }
+    words
+}
+
+/// All lane words of one net after a settle.
+fn lane_words(sim: &WideSim<WORDS>, net: NetId) -> Lanes {
+    std::array::from_fn(|w| sim.word(net, w))
+}
+
+/// Positions of the set bits of a packed bit-vector, in increasing order.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(i, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let k = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                i * 64 + k
+            })
+        })
+    })
+}
+
+/// A growing bit-stream over pair ids. A pass covers a contiguous run of
+/// pairs, so appending its lanes is one or two word operations per 64
+/// pairs, wherever the run starts.
+#[derive(Default)]
+struct PairBits {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl PairBits {
+    /// Appends lanes `0..n` of `lanes`.
+    fn append(&mut self, lanes: &Lanes, n: usize) {
+        let shift = self.len % 64;
+        for (w, &word) in lanes.iter().enumerate().take(n.div_ceil(LANES)) {
+            let v = word & lane_mask((n - w * LANES).min(LANES));
+            match self.words.last_mut() {
+                Some(last) if shift != 0 => {
+                    *last |= v << shift;
+                    self.words.push(v >> (64 - shift));
+                }
+                _ => self.words.push(v),
+            }
+        }
+        self.len += n;
+        self.words.truncate(self.len.div_ceil(64));
+    }
 }
 
 impl Kripke for NetlistKripke {
@@ -321,8 +461,7 @@ impl Kripke for NetlistKripke {
 
     fn pre_exists(&self, target: &StateSet) -> StateSet {
         // g[s'] = some pair (s', *) is in target.
-        let nff = self.ff_states.len();
-        let mut g = vec![false; nff];
+        let mut g = vec![false; self.num_ff_states()];
         for p in target.iter() {
             g[p / self.combos] = true;
         }
@@ -350,12 +489,12 @@ impl Kripke for NetlistKripke {
 
     fn describe_state(&self, s: StateId) -> String {
         let (ff, combo) = self.split(s);
-        let bits = &self.ff_states[ff];
+        let key = &self.ff_states[ff * self.key_words..][..self.key_words];
         let regs: Vec<String> = self
             .state_names
             .iter()
-            .zip(bits)
-            .map(|(n, &b)| format!("{n}={}", u8::from(b)))
+            .enumerate()
+            .map(|(j, n)| format!("{n}={}", key[j / 64] >> (j % 64) & 1))
             .collect();
         let ins: Vec<String> = self
             .input_names
@@ -372,7 +511,30 @@ mod tests {
     use super::*;
     use crate::checker::{check, check_fair};
     use crate::parse;
-    use elastic_netlist::Netlist;
+    use elastic_netlist::{LatchPhase, Netlist};
+
+    /// Pairs (as a set) satisfying `f(state, combo)`.
+    fn pairs(k: &NetlistKripke, f: impl Fn(usize, usize) -> bool) -> StateSet {
+        let mut s = StateSet::empty(k.num_states());
+        for p in 0..k.num_states() {
+            if f(p / k.combos, p % k.combos) {
+                s.insert(p);
+            }
+        }
+        s
+    }
+
+    /// Successor flip-flop state of every pair, read through `post`.
+    fn successors(k: &NetlistKripke) -> Vec<usize> {
+        let mut out = Vec::new();
+        (0..k.num_states())
+            .map(|p| {
+                out.clear();
+                k.post(p, &mut out);
+                out[0] / k.combos
+            })
+            .collect()
+    }
 
     /// One-bit handshake: req input; grant FF follows req one cycle later.
     fn follower() -> Netlist {
@@ -535,5 +697,244 @@ mod tests {
         assert_eq!(k.num_ff_states(), 4);
         let f = parse("AG AF (b1 & b0)").unwrap();
         assert!(check(&k, &f).unwrap().holds());
+    }
+
+    #[test]
+    fn no_inputs_one_lane_per_state() {
+        // combos = 1: a lane group is a single lane, so a pass could carry
+        // 512 states — but a deterministic chain from reset only ever has
+        // one discovered, unexplored state, so every pass is a one-lane
+        // batch and every atom append is one unaligned bit.
+        let bits = 10;
+        let mut n = Netlist::new("counter10");
+        let q: Vec<NetId> = (0..bits).map(|_| n.dff(false)).collect();
+        let mut carry = n.constant(true);
+        for (b, &qb) in q.iter().enumerate() {
+            let d = n.xor(qb, carry);
+            carry = n.and2(qb, carry);
+            n.bind_dff(qb, d).unwrap();
+            n.set_name(qb, format!("b{b}")).unwrap();
+        }
+        let k = netlist_kripke(&n, &[], BridgeOptions::default()).unwrap();
+        assert_eq!(k.num_ff_states(), 1 << bits);
+        assert_eq!(k.num_states(), 1 << bits, "one pair per state");
+        let succ = successors(&k);
+        for (s, &t) in succ.iter().enumerate() {
+            assert_eq!(t, (s + 1) % (1 << bits), "state {s}");
+        }
+        for b in 0..bits {
+            let want = pairs(&k, |s, _| s >> b & 1 == 1);
+            assert_eq!(k.atom_set(&format!("b{b}")), Some(want), "b{b}");
+        }
+    }
+
+    #[test]
+    fn nine_inputs_fill_one_pass_per_state() {
+        // combos = 512 = one full pass per state; q_b captures input b for
+        // b < 3, so combo c leads to the state numbered c mod 8.
+        let mut n = Netlist::new("capture9");
+        for b in 0..9 {
+            let i = n.input(format!("i{b}"));
+            if b < 3 {
+                let q = n.dff_bound(i, false);
+                n.set_name(q, format!("q{b}")).unwrap();
+            }
+        }
+        let k = netlist_kripke(&n, &[], BridgeOptions::default()).unwrap();
+        assert_eq!(k.combos, 512);
+        assert_eq!(k.num_ff_states(), 8);
+        let succ = successors(&k);
+        for (p, &t) in succ.iter().enumerate() {
+            assert_eq!(t, p % 8, "pair {p}");
+        }
+        for b in 0..9 {
+            let i = pairs(&k, |_, c| c >> b & 1 == 1);
+            assert_eq!(k.atom_set(&format!("i{b}")), Some(i), "i{b}");
+        }
+        for b in 0..3 {
+            let q = pairs(&k, |s, _| s >> b & 1 == 1);
+            assert_eq!(k.atom_set(&format!("q{b}")), Some(q), "q{b}");
+        }
+    }
+
+    #[test]
+    fn ten_inputs_take_two_passes_with_bit_nine_splatted() {
+        // combos = 1024: each state takes two passes, input bit 9 comes
+        // from the pass index and bits 0..9 from the lane index. The high
+        // latch samples the low latch before the low phase rewrites it, so
+        // the second pass is only right if it reloads the state.
+        let mut n = Netlist::new("wide10");
+        let ins: Vec<NetId> = (0..10).map(|b| n.input(format!("i{b}"))).collect();
+        let q = n.dff_bound(ins[9], false);
+        n.set_name(q, "q").unwrap();
+        let lo = n.latch(LatchPhase::Low, false);
+        n.bind_latch(lo, ins[9]).unwrap();
+        let hi = n.latch(LatchPhase::High, false);
+        n.bind_latch(hi, lo).unwrap();
+        let x = n.xor(ins[9], ins[3]);
+        n.set_name(x, "x").unwrap();
+        let k = netlist_kripke(&n, &[], BridgeOptions::default()).unwrap();
+        assert_eq!(k.combos, 1024);
+        // State s holds lo = s & 1 (= q) and hi = s >> 1; the successor
+        // takes lo = q = i9 and hi = the current lo.
+        assert_eq!(k.num_ff_states(), 4);
+        let succ = successors(&k);
+        for (p, &t) in succ.iter().enumerate() {
+            let (s, c) = (p / 1024, p % 1024);
+            assert_eq!(t, c >> 9 | (s & 1) << 1, "pair {p}");
+        }
+        let i9 = pairs(&k, |_, c| c >> 9 == 1);
+        assert_eq!(k.atom_set("i9"), Some(i9));
+        let xs = pairs(&k, |_, c| (c >> 9 ^ c >> 3) & 1 == 1);
+        assert_eq!(k.atom_set("x"), Some(xs));
+        assert_eq!(k.atom_set("q"), Some(pairs(&k, |s, _| s & 1 == 1)));
+        assert!(k.describe_state(1024 + 512).contains("q=1 "));
+        assert!(k.describe_state(1024 + 512).ends_with("i9=1]"));
+    }
+
+    #[test]
+    fn partial_batches_keep_bfs_numbering() {
+        // A 3-bit shift register fed by input `a`, with two more inputs
+        // (combos = 8, 64 states per pass). The frontier batches hold 1,
+        // 1, 2 and 4 states — each far short of a full pass — and BFS
+        // numbers every state by its register value q0 + 2·q1 + 4·q2.
+        let mut n = Netlist::new("shift3");
+        let a = n.input("a");
+        let b = n.input("b");
+        let _c = n.input("c");
+        let q0 = n.dff_bound(a, false);
+        let q1 = n.dff_bound(q0, false);
+        let q2 = n.dff_bound(q1, false);
+        let x = n.and([a, b, q2]);
+        n.set_name(x, "x").unwrap();
+        let k = netlist_kripke(&n, &["x"], BridgeOptions::default()).unwrap();
+        assert_eq!(k.num_ff_states(), 8);
+        let succ = successors(&k);
+        for (p, &t) in succ.iter().enumerate() {
+            let (s, c) = (p / 8, p % 8);
+            assert_eq!(t, (s << 1 | c & 1) & 7, "pair {p}");
+        }
+        let want = pairs(&k, |s, c| c & 3 == 3 && s & 4 != 0);
+        assert_eq!(k.atom_set("x"), Some(want.clone()));
+        assert_eq!(k.fairness_sets(), vec![want]);
+    }
+
+    #[test]
+    fn pair_bits_append_at_any_offset() {
+        // Runs of every awkward length, starting at every offset class,
+        // against a plain bool vector.
+        let mut bits = PairBits::default();
+        let mut naive = Vec::new();
+        for (r, n) in [3usize, 70, 512, 1, 64, 61, 128, 5, 500]
+            .into_iter()
+            .enumerate()
+        {
+            let lanes = lane_pattern(|l| (l * 7 + r * 3) % 5 < 2);
+            bits.append(&lanes, n);
+            naive.extend((0..n).map(|l| (l * 7 + r * 3) % 5 < 2));
+        }
+        assert_eq!(bits.len, naive.len());
+        assert_eq!(bits.words.len(), naive.len().div_ceil(64), "no stray words");
+        let set = StateSet::from_blocks(bits.words, naive.len());
+        for (p, &v) in naive.iter().enumerate() {
+            assert_eq!(set.contains(p), v, "pair {p}");
+        }
+    }
+
+    #[test]
+    fn state_keys_span_several_words() {
+        // A 70-bit one-hot ring advancing when `en` is high: the key is two
+        // words, and states 64..70 differ only in the second one.
+        let bits = 70;
+        let mut n = Netlist::new("ring70");
+        let en = n.input("en");
+        let q: Vec<NetId> = (0..bits).map(|b| n.dff(b == 0)).collect();
+        for b in 0..bits {
+            let d = n.mux(en, q[(b + bits - 1) % bits], q[b]);
+            n.bind_dff(q[b], d).unwrap();
+            n.set_name(q[b], format!("q{b}")).unwrap();
+        }
+        let k = netlist_kripke(&n, &[], BridgeOptions::default()).unwrap();
+        assert_eq!(k.key_words, 2);
+        assert_eq!(k.num_ff_states(), bits);
+        let succ = successors(&k);
+        for (p, &t) in succ.iter().enumerate() {
+            let (s, c) = (p / 2, p % 2);
+            assert_eq!(t, if c == 1 { (s + 1) % bits } else { s }, "pair {p}");
+        }
+        assert_eq!(k.atom_set("q69"), Some(pairs(&k, |s, _| s == 69)));
+        let d = k.describe_state(2 * 69);
+        assert!(
+            d.contains("q69=1") && d.contains("q0=0") && d.contains("q63=0"),
+            "{d}"
+        );
+    }
+
+    #[test]
+    fn state_budget_is_a_typed_error_mid_batch() {
+        // 2^6-state counter with an enable: discovered one state per pass.
+        let mut n = Netlist::new("counter6");
+        let en = n.input("en");
+        let mut carry = en;
+        for _ in 0..6 {
+            let q = n.dff(false);
+            let d = n.xor(q, carry);
+            carry = n.and2(q, carry);
+            n.bind_dff(q, d).unwrap();
+        }
+        let opts = |max_ff_states| BridgeOptions {
+            max_ff_states,
+            max_inputs: 4,
+        };
+        assert_eq!(
+            netlist_kripke(&n, &[], opts(64)).unwrap().num_ff_states(),
+            64
+        );
+        for limit in [1, 10, 63] {
+            let e = netlist_kripke(&n, &[], opts(limit)).unwrap_err();
+            assert_eq!(
+                e,
+                McError::Budget {
+                    what: "states",
+                    limit
+                }
+            );
+        }
+        // A 6-bit shift register: the batch {2, 3} discovers states 4 to 7,
+        // so a budget of 5 trips in the middle of that pass.
+        let mut n = Netlist::new("shift6");
+        let mut d = n.input("a");
+        for _ in 0..6 {
+            d = n.dff_bound(d, false);
+        }
+        let e = netlist_kripke(&n, &[], opts(5)).unwrap_err();
+        assert_eq!(
+            e,
+            McError::Budget {
+                what: "states",
+                limit: 5
+            }
+        );
+        assert_eq!(
+            netlist_kripke(&n, &[], opts(64)).unwrap().num_ff_states(),
+            64
+        );
+    }
+
+    #[test]
+    fn netlist_errors_surface_from_the_tape_compiler() {
+        let mut unbound = Netlist::new("unbound");
+        let _ = unbound.dff(false);
+        let e = netlist_kripke(&unbound, &[], BridgeOptions::default()).unwrap_err();
+        assert!(matches!(e, McError::Netlist(_)), "{e:?}");
+        assert_eq!(e, McError::from(Program::compile(&unbound).unwrap_err()));
+
+        let mut cyclic = Netlist::new("cyclic");
+        let w = cyclic.wire();
+        let x = cyclic.not(w);
+        cyclic.bind_wire(w, x).unwrap();
+        let e = netlist_kripke(&cyclic, &[], BridgeOptions::default()).unwrap_err();
+        assert!(matches!(e, McError::Netlist(_)), "{e:?}");
+        assert_eq!(e, McError::from(Program::compile(&cyclic).unwrap_err()));
     }
 }

@@ -10,8 +10,9 @@
 //!
 //! [`Simulator::cycle`] runs all four, after which [`Simulator::value`]
 //! reads the settled valuation of the completed cycle. Callers that need to
-//! interleave observation and clocking (e.g. the model-checker bridge) can
-//! use [`Simulator::settle`] / [`Simulator::next_state`] directly.
+//! interleave observation and clocking (e.g. the pair-at-a-time reference
+//! the model-checker bridge is tested against) can use
+//! [`Simulator::settle`] / [`Simulator::next_state`] directly.
 
 use crate::build::{Gate, LatchPhase, NetId, Netlist};
 use crate::check;
@@ -232,7 +233,7 @@ impl Simulator {
 
     /// Overwrites the state-element outputs (flip-flops and latches) and
     /// clears any pending flip-flop capture, so the next [`Simulator::cycle`]
-    /// starts exactly from this state. Used by the model-checker bridge.
+    /// starts exactly from this state.
     ///
     /// # Errors
     ///

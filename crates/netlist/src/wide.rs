@@ -347,6 +347,42 @@ impl<const W: usize> WideSim<W> {
         Self::run_tape(&mut self.values, self.prog.low(), self.prog.args());
     }
 
+    /// Overwrites the state-element lane words — entry `j` carries all `W`
+    /// words of the `j`-th net of [`Program::state_nets`] — and clears
+    /// pending flip-flop captures, so the next cycle or [`WideSim::settle`]
+    /// starts every lane from exactly this state. Lanes are independent:
+    /// each may hold a different state (the model-checker bridge loads one
+    /// reachable state per lane group).
+    ///
+    /// # Errors
+    ///
+    /// [`NetlistError::StateWidthMismatch`] when `words.len()` differs from
+    /// the number of state elements.
+    pub fn load_state_words(&mut self, words: &[[u64; W]]) -> Result<(), NetlistError> {
+        let WideSim {
+            prog,
+            values,
+            captured,
+            ..
+        } = self;
+        let state_nets = prog.state_nets();
+        if words.len() != state_nets.len() {
+            return Err(NetlistError::StateWidthMismatch {
+                expected: state_nets.len(),
+                got: words.len(),
+            });
+        }
+        for (&net, &w) in state_nets.iter().zip(words) {
+            values[net.index()] = w;
+        }
+        // Every flip-flop is a state net, so its freshly loaded output is
+        // exactly what the next rising edge must commit.
+        for (slot, f) in captured.iter_mut().zip(prog.ffs()) {
+            *slot = values[f.q as usize];
+        }
+        Ok(())
+    }
+
     fn run_tape(values: &mut [[u64; W]], tape: &[Instr], args: &[u32]) {
         for &instr in tape {
             match instr {
@@ -521,35 +557,15 @@ impl WideSim<1> {
 
     /// Overwrites the state-element lane words and clears pending flip-flop
     /// captures, so the next [`WideSimulator::cycle`] starts every lane from
-    /// exactly this state.
+    /// exactly this state — the single-word view of
+    /// [`WideSim::load_state_words`].
     ///
     /// # Errors
     ///
     /// [`NetlistError::StateWidthMismatch`] when `words.len()` differs from
     /// the number of state elements.
     pub fn load_state(&mut self, words: &[u64]) -> Result<(), NetlistError> {
-        let WideSim {
-            prog,
-            values,
-            captured,
-            ..
-        } = self;
-        let state_nets = prog.state_nets();
-        if words.len() != state_nets.len() {
-            return Err(NetlistError::StateWidthMismatch {
-                expected: state_nets.len(),
-                got: words.len(),
-            });
-        }
-        for (&net, &w) in state_nets.iter().zip(words) {
-            values[net.index()] = [w];
-        }
-        // Every flip-flop is a state net, so its freshly loaded output is
-        // exactly what the next rising edge must commit.
-        for (slot, f) in captured.iter_mut().zip(prog.ffs()) {
-            *slot = values[f.q as usize];
-        }
-        Ok(())
+        self.load_state_words(words.as_chunks::<1>().0)
     }
 }
 
@@ -934,6 +950,72 @@ mod tests {
         assert_eq!(sim.value(q), 0xFFFF_0000_FFFF_0000);
         sim.cycle(&[]).unwrap();
         assert_eq!(sim.value(q), !0xFFFF_0000_FFFF_0000u64);
+    }
+
+    #[test]
+    fn per_lane_state_load_matches_scalar() {
+        // Every lane of a 512-lane simulator starts from its own state and
+        // input valuation; one settle must reproduce, lane for lane, what
+        // the scalar simulator computes from the same (state, input) pair —
+        // including latches of both phases and an enable cone through a
+        // late-bound wire.
+        let mut n = Netlist::new("per_lane");
+        let a = n.input("a");
+        let b = n.input("b");
+        let en = n.wire();
+        let q0 = n.dff(false);
+        let q1 = n.dff(true);
+        let h = n.latch_en(LatchPhase::High, en, false);
+        let x = n.xor(q0, a);
+        n.bind_latch(h, x).unwrap();
+        let l = n.latch(LatchPhase::Low, true);
+        let m = n.mux(b, h, q1);
+        n.bind_latch(l, m).unwrap();
+        let d0 = n.and2(l, b);
+        let d1 = n.or([q0, h, a]);
+        n.bind_dff(q0, d0).unwrap();
+        n.bind_dff(q1, d1).unwrap();
+        let nb = n.not(b);
+        n.bind_wire(en, nb).unwrap();
+
+        let mut wide = WideSim::<8>::new(&n).unwrap();
+        assert!(
+            wide.load_state_words(&[[0; 8]]).is_err(),
+            "state width checked"
+        );
+        let width = n.state_elements().len();
+        let bit = |lane: usize, k: usize| {
+            (lane as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (k * 7 % 61) & 1 == 1
+        };
+        let lanes = WideSim::<8>::num_lanes();
+        let pack = |k: usize| {
+            let mut words = [0u64; 8];
+            for lane in (0..lanes).filter(|&lane| bit(lane, k)) {
+                words[lane / LANES] |= 1 << (lane % LANES);
+            }
+            words
+        };
+        let state: Vec<[u64; 8]> = (0..width).map(pack).collect();
+        wide.load_state_words(&state).unwrap();
+        wide.set_input_words(a, pack(width)).unwrap();
+        wide.set_input_words(b, pack(width + 1)).unwrap();
+        wide.settle();
+        let mut scalar = Simulator::new(&n).unwrap();
+        for lane in 0..lanes {
+            let bits: Vec<bool> = (0..width).map(|k| bit(lane, k)).collect();
+            scalar.load_state(&bits).unwrap();
+            scalar.set_input(a, bit(lane, width)).unwrap();
+            scalar.set_input(b, bit(lane, width + 1)).unwrap();
+            scalar.settle().unwrap();
+            for net in n.nets() {
+                assert_eq!(
+                    wide.lane(net, lane),
+                    scalar.value(net),
+                    "lane {lane} net {}",
+                    n.net_name(net)
+                );
+            }
+        }
     }
 
     #[test]

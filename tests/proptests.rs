@@ -1,6 +1,12 @@
 //! Property-based tests over the core invariants, using proptest.
 
+use std::collections::HashMap;
+
+use elastic_circuits::core::compile::{compile, CompileOptions, FaultInjection, FaultRail};
 use elastic_circuits::core::dsl::isomorphic;
+use elastic_circuits::core::fault::FaultProcess;
+use elastic_circuits::core::gen::{generate, TopoParams};
+use elastic_circuits::core::network::ElasticNetwork;
 use elastic_circuits::core::protocol::is_self_language;
 use elastic_circuits::core::sim::{BehavSim, DataGen, EnvConfig, RandomEnv, SinkCfg, SourceCfg};
 use elastic_circuits::core::systems::{
@@ -9,6 +15,9 @@ use elastic_circuits::core::systems::{
 use elastic_circuits::dmg::analysis::simple_cycles;
 use elastic_circuits::dmg::examples::{fig1_dmg, pipeline_ring};
 use elastic_circuits::dmg::exec::{RandomExecutor, SchedulingPolicy};
+use elastic_circuits::mc::{
+    netlist_kripke, BridgeOptions, Kripke, McError, NetlistKripke, StateSet,
+};
 use elastic_circuits::netlist::levelize::Program;
 use elastic_circuits::netlist::sim::Simulator;
 use elastic_circuits::netlist::wide::{WideSim, WideSimulator, LANES};
@@ -122,6 +131,215 @@ fn regression_corpus_is_loaded() {
         "expected the checked-in regression corpus, got {seeds:?}"
     );
     assert!(seeds.contains(&2007), "bootstrap seed missing: {seeds:?}");
+}
+
+/// Test-local reference for `netlist_kripke`: breadth-first exploration
+/// one (state, input) pair at a time on the scalar fixpoint simulator,
+/// numbering states in discovery order.
+struct ScalarKripke {
+    combos: usize,
+    /// Successor state per pair `state * combos + combo`.
+    delta: Vec<usize>,
+    /// Pairs where each named net is true.
+    atoms: Vec<(String, Vec<usize>)>,
+    ff_states: Vec<Vec<bool>>,
+    state_names: Vec<String>,
+    input_names: Vec<String>,
+}
+
+fn scalar_kripke(n: &Netlist, max_ff_states: usize) -> Result<ScalarKripke, McError> {
+    let mut sim = Simulator::new(n)?;
+    let inputs = n.inputs().to_vec();
+    let combos = 1usize << inputs.len();
+    let named = n.named_nets();
+    let mut ff_states = vec![sim.state()];
+    let mut index = HashMap::from([(sim.state(), 0)]);
+    let mut atoms = vec![Vec::new(); named.len()];
+    let mut delta = Vec::new();
+    let mut frontier = 0;
+    while frontier < ff_states.len() {
+        let state = ff_states[frontier].clone();
+        for combo in 0..combos {
+            sim.load_state(&state)?;
+            for (b, &i) in inputs.iter().enumerate() {
+                sim.set_input(i, combo >> b & 1 == 1)?;
+            }
+            sim.settle()?;
+            for (pairs, &(_, net)) in atoms.iter_mut().zip(&named) {
+                if sim.value(net) {
+                    pairs.push(delta.len());
+                }
+            }
+            let next = sim.next_state();
+            let id = match index.get(&next) {
+                Some(&id) => id,
+                None if ff_states.len() >= max_ff_states => {
+                    return Err(McError::Budget {
+                        what: "states",
+                        limit: max_ff_states,
+                    })
+                }
+                None => {
+                    index.insert(next.clone(), ff_states.len());
+                    ff_states.push(next);
+                    ff_states.len() - 1
+                }
+            };
+            delta.push(id);
+        }
+        frontier += 1;
+    }
+    let names = |nets: &[NetId]| nets.iter().map(|&x| n.net_name(x)).collect();
+    Ok(ScalarKripke {
+        combos,
+        delta,
+        atoms: named
+            .iter()
+            .zip(atoms)
+            .map(|(&(name, _), pairs)| (name.to_string(), pairs))
+            .collect(),
+        ff_states,
+        state_names: names(sim.state_nets()),
+        input_names: names(&inputs),
+    })
+}
+
+impl ScalarKripke {
+    fn set(&self, pairs: &[usize]) -> StateSet {
+        let mut s = StateSet::empty(self.delta.len());
+        for &p in pairs {
+            s.insert(p);
+        }
+        s
+    }
+
+    fn atom(&self, name: &str) -> StateSet {
+        let (_, pairs) = self.atoms.iter().find(|(n, _)| n == name).unwrap();
+        self.set(pairs)
+    }
+
+    fn describe(&self, pair: usize) -> String {
+        let (ff, combo) = (pair / self.combos, pair % self.combos);
+        let regs: Vec<String> = self
+            .state_names
+            .iter()
+            .zip(&self.ff_states[ff])
+            .map(|(n, &b)| format!("{n}={}", u8::from(b)))
+            .collect();
+        let ins: Vec<String> = self
+            .input_names
+            .iter()
+            .enumerate()
+            .map(|(i, n)| format!("{n}={}", combo >> i & 1))
+            .collect();
+        format!("[{} | {}]", regs.join(" "), ins.join(" "))
+    }
+}
+
+/// The tape-built structure equals the scalar-built one exactly: the same
+/// state numbering, successors, atoms, fairness sets and descriptions.
+fn assert_same_kripke(k: &NetlistKripke, r: &ScalarKripke, fairness: &[&str]) {
+    assert_eq!(k.num_ff_states(), r.ff_states.len(), "flip-flop states");
+    assert_eq!(k.num_states(), r.delta.len(), "pairs");
+    assert_eq!(
+        k.initial_states(),
+        r.set(&(0..r.combos).collect::<Vec<_>>())
+    );
+    let mut post = Vec::new();
+    for pair in 0..r.delta.len() {
+        post.clear();
+        k.post(pair, &mut post);
+        let want: Vec<usize> = (0..r.combos)
+            .map(|c| r.delta[pair] * r.combos + c)
+            .collect();
+        assert_eq!(post, want, "post of pair {pair}");
+        assert_eq!(k.describe_state(pair), r.describe(pair), "pair {pair}");
+    }
+    for (name, _) in &r.atoms {
+        assert_eq!(k.atom_set(name), Some(r.atom(name)), "atom {name}");
+    }
+    let fair: Vec<StateSet> = fairness.iter().map(|f| r.atom(f)).collect();
+    assert_eq!(k.fairness_sets(), fair, "fairness sets");
+}
+
+/// The convergence-campaign fault process: a periodic V+ flip on the first
+/// non-passive channel, whose site becomes a free `fault.*` arm input.
+fn mc_fault_netlist(net: &ElasticNetwork, data_width: usize) -> Netlist {
+    let ch = net
+        .channels()
+        .map(|c| net.channel(c))
+        .find(|ch| !ch.passive)
+        .unwrap();
+    let process = FaultProcess::Periodic {
+        fault: FaultInjection::RailFlip {
+            channel: ch.name.clone(),
+            rail: FaultRail::Vp,
+        },
+        period: 8,
+        duty: 1,
+        start: 0,
+    };
+    let opts = CompileOptions {
+        faults: process.sites(),
+        data_width,
+        ..CompileOptions::default()
+    };
+    compile(net, &opts).unwrap().netlist
+}
+
+/// Cross-kernel gate on the systems the convergence benchmark checks.
+#[test]
+fn tape_kripke_equals_scalar_on_fault_armed_systems() {
+    let (pipe, _, _) = linear_pipeline(6, 3).unwrap();
+    let topo = generate(&TopoParams::sample(7)).unwrap().network;
+    for (name, nl) in [
+        ("linear_pipeline(6,3)", mc_fault_netlist(&pipe, 0)),
+        ("TopoParams::sample(7)", mc_fault_netlist(&topo, 1)),
+    ] {
+        let budget = 1 << 16;
+        let opts = BridgeOptions {
+            max_ff_states: budget,
+            max_inputs: 10,
+        };
+        let k = netlist_kripke(&nl, &[], opts).unwrap();
+        let r = scalar_kripke(&nl, budget).unwrap();
+        assert!(r.ff_states.len() > 1, "{name}: non-trivial state space");
+        assert_same_kripke(&k, &r, &[]);
+    }
+}
+
+/// A state budget hit mid-batch is the same typed error, at the same
+/// point, as in the pair-at-a-time exploration.
+#[test]
+fn state_budget_error_matches_scalar_on_paper_example() {
+    let sys = paper_example(Config::ActiveAntiTokens).unwrap();
+    let opts = CompileOptions {
+        data_width: 2,
+        ..CompileOptions::default()
+    };
+    let nl = compile(&sys.network, &opts).unwrap().netlist;
+    let full = scalar_kripke(&nl, 64);
+    for budget in [1, 2, 5, 17] {
+        let got = netlist_kripke(
+            &nl,
+            &[],
+            BridgeOptions {
+                max_ff_states: budget,
+                max_inputs: 20,
+            },
+        )
+        .unwrap_err();
+        let want = scalar_kripke(&nl, budget).err().unwrap();
+        assert_eq!(got, want, "budget {budget}");
+        assert_eq!(
+            got,
+            McError::Budget {
+                what: "states",
+                limit: budget
+            }
+        );
+    }
+    assert!(full.is_err(), "paper example exceeds 64 states");
 }
 
 proptest! {
@@ -378,6 +596,45 @@ proptest! {
         let got = sim.sink_received(snk);
         for w in got.windows(2) {
             prop_assert!(w[0] < w[1]);
+        }
+    }
+
+    /// ROADMAP gate for the shared evaluation kernel: on random netlists
+    /// (flip-flops, latches of both phases, late-bound wires) with every
+    /// net named, the tape-built Kripke structure is identical — not just
+    /// isomorphic — to the scalar-built one, and a state budget trips with
+    /// the same typed error.
+    #[test]
+    fn tape_kripke_matches_scalar_reference(seed in 0u64..10_000, slack in 0usize..3) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut net = random_netlist(&mut rng);
+        let all: Vec<NetId> = net.nets().collect();
+        for id in all {
+            if net.named_nets().iter().all(|&(_, n)| n != id) {
+                net.set_name(id, format!("n{}", id.index())).unwrap();
+            }
+        }
+        let names: Vec<String> = net.named_nets().iter().map(|&(s, _)| s.to_string()).collect();
+        let fairness: Vec<&str> = names
+            .iter()
+            .filter(|_| rng.gen_bool(0.2))
+            .map(String::as_str)
+            .collect();
+        // A budget one short of, equal to, or one past the reachable count:
+        // the first must fail exactly like the reference, the others build.
+        let reachable = scalar_kripke(&net, usize::MAX).unwrap().ff_states.len();
+        let budget = reachable + slack - 1;
+        let opts = BridgeOptions { max_ff_states: budget, max_inputs: 8 };
+        match (netlist_kripke(&net, &fairness, opts), scalar_kripke(&net, budget)) {
+            (Ok(k), Ok(r)) => assert_same_kripke(&k, &r, &fairness),
+            (Err(got), Err(want)) => prop_assert_eq!(got, want),
+            (got, want) => prop_assert!(
+                false,
+                "budget {}: tape {:?} vs scalar {:?}",
+                budget,
+                got.map(|k| k.num_ff_states()),
+                want.map(|r| r.ff_states.len())
+            ),
         }
     }
 
