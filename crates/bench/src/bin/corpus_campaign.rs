@@ -26,7 +26,7 @@
 //! wide8}] [--json PATH]` (JSON defaults to `BENCH_pr10.json`).
 
 use elastic_bench::exp::{
-    lazy_bound_check, run_prepared, CampaignReport, CliOpts, Experiment, SystemSpec,
+    json_f64, lazy_bound_check, run_prepared, CampaignReport, CliOpts, Experiment, SystemSpec,
 };
 use elastic_bench::WideHarness;
 use elastic_core::compile::{compile, CompileOptions};
@@ -58,14 +58,6 @@ impl Gain {
         } else {
             f64::NAN
         }
-    }
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
     }
 }
 

@@ -25,24 +25,8 @@
 //! Usage: `fuzz_topo [--seed N] [--count N] [--cycles N] [--lanes N]
 //! [--threads N] [--json PATH] [--inject]`
 
-use elastic_bench::exp::default_threads;
+use elastic_bench::exp::{default_threads, parse_flag};
 use elastic_bench::fuzz::{run_fuzz, FuzzOpts};
-
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, dflt: T) -> T {
-    match args.iter().position(|a| a == flag) {
-        None => dflt,
-        Some(i) => {
-            let raw = args.get(i + 1).unwrap_or_else(|| {
-                eprintln!("error: {flag} requires a value");
-                std::process::exit(2);
-            });
-            raw.parse().unwrap_or_else(|_| {
-                eprintln!("error: invalid value for {flag}: {raw:?}");
-                std::process::exit(2);
-            })
-        }
-    }
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

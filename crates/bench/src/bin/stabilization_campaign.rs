@@ -30,60 +30,8 @@
 //! [--mc-topologies N] [--check] [--json PATH]`
 //! (JSON defaults to `BENCH_pr9.json`; `--trials` is lanes per job).
 
-use elastic_bench::exp::default_threads;
+use elastic_bench::exp::{default_threads, parse_classes, parse_flag, parse_list};
 use elastic_bench::stabilize::{run_stabilization_campaign, StabilizationOpts, PROCESS_CLASSES};
-
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, dflt: T) -> T {
-    match args.iter().position(|a| a == flag) {
-        None => dflt,
-        Some(i) => {
-            let raw = args.get(i + 1).unwrap_or_else(|| {
-                eprintln!("error: {flag} requires a value");
-                std::process::exit(2);
-            });
-            raw.parse().unwrap_or_else(|_| {
-                eprintln!("error: invalid value for {flag}: {raw:?}");
-                std::process::exit(2);
-            })
-        }
-    }
-}
-
-fn parse_list(args: &[String], flag: &str, dflt: &[usize]) -> Vec<usize> {
-    let Some(i) = args.iter().position(|a| a == flag) else {
-        return dflt.to_vec();
-    };
-    let raw = args.get(i + 1).unwrap_or_else(|| {
-        eprintln!("error: {flag} requires a value");
-        std::process::exit(2);
-    });
-    raw.split(',')
-        .filter(|s| !s.is_empty())
-        .map(|s| {
-            s.parse().unwrap_or_else(|_| {
-                eprintln!("error: invalid value in {flag}: {s:?}");
-                std::process::exit(2);
-            })
-        })
-        .collect()
-}
-
-fn parse_classes(args: &[String]) -> Vec<String> {
-    let Some(i) = args.iter().position(|a| a == "--classes") else {
-        return PROCESS_CLASSES.iter().map(|&c| c.to_string()).collect();
-    };
-    let raw = args.get(i + 1).unwrap_or_else(|| {
-        eprintln!("error: --classes requires a value");
-        std::process::exit(2);
-    });
-    if raw == "all" {
-        return PROCESS_CLASSES.iter().map(|&c| c.to_string()).collect();
-    }
-    raw.split(',')
-        .filter(|s| !s.is_empty())
-        .map(str::to_string)
-        .collect()
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -97,7 +45,7 @@ fn main() {
         recovery_tail: parse_flag(&args, "--tail", 16usize),
         threads: parse_flag(&args, "--threads", default_threads()),
         queue: parse_flag(&args, "--queue", 2usize),
-        classes: parse_classes(&args),
+        classes: parse_classes(&args, &PROCESS_CLASSES),
         mc_topologies: parse_flag(&args, "--mc-topologies", 4usize),
     };
     let json_path = args

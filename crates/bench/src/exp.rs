@@ -709,7 +709,7 @@ pub(crate) fn json_str(s: &str) -> String {
 }
 
 /// Finite floats only — JSON has no NaN/Inf, so degrade to null.
-pub(crate) fn json_f64(v: f64) -> String {
+pub fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v:.6}")
     } else {
@@ -748,23 +748,6 @@ impl CliOpts {
     /// would record numbers for a campaign that never ran.
     pub fn parse(default_trials: usize, default_cycles: usize) -> CliOpts {
         let args: Vec<String> = std::env::args().collect();
-        let grab = |flag: &str| -> Option<String> {
-            args.iter().position(|a| a == flag).map(|i| {
-                args.get(i + 1).cloned().unwrap_or_else(|| {
-                    eprintln!("error: {flag} requires a value");
-                    std::process::exit(2);
-                })
-            })
-        };
-        fn parsed<T: std::str::FromStr>(flag: &str, v: Option<String>, dflt: T) -> T {
-            match v {
-                None => dflt,
-                Some(raw) => raw.parse().unwrap_or_else(|_| {
-                    eprintln!("error: invalid value for {flag}: {raw:?}");
-                    std::process::exit(2);
-                }),
-            }
-        }
         fn positive(flag: &str, v: usize) -> usize {
             if v == 0 {
                 eprintln!("error: {flag} must be at least 1");
@@ -772,7 +755,7 @@ impl CliOpts {
             }
             v
         }
-        let backend = match grab("--backend") {
+        let backend = match flag_value(&args, "--backend") {
             None => BackendSel::Auto,
             Some(raw) => BackendSel::parse(&raw).unwrap_or_else(|| {
                 eprintln!(
@@ -783,24 +766,18 @@ impl CliOpts {
             }),
         };
         CliOpts {
-            trials: positive(
-                "--trials",
-                parsed("--trials", grab("--trials"), default_trials),
-            ),
+            trials: positive("--trials", parse_flag(&args, "--trials", default_trials)),
             threads: positive(
                 "--threads",
-                parsed("--threads", grab("--threads"), default_threads()),
+                parse_flag(&args, "--threads", default_threads()),
             ),
-            cycles: positive(
-                "--cycles",
-                parsed("--cycles", grab("--cycles"), default_cycles),
-            ),
-            seed: parsed("--seed", grab("--seed"), 1),
-            json: grab("--json"),
+            cycles: positive("--cycles", parse_flag(&args, "--cycles", default_cycles)),
+            seed: parse_flag(&args, "--seed", 1),
+            json: flag_value(&args, "--json"),
             backend,
             queue: positive(
                 "--queue",
-                parsed("--queue", grab("--queue"), EngineOpts::default().queue),
+                parse_flag(&args, "--queue", EngineOpts::default().queue),
             ),
         }
     }
@@ -813,6 +790,63 @@ impl CliOpts {
             backend: self.backend,
             ..EngineOpts::default()
         }
+    }
+}
+
+/// The raw value following `flag` in `args` (`None` when the flag is
+/// absent). A flag without a value is a hard error (exit 2).
+fn flag_value(args: &[String], flag: &str) -> Option<String> {
+    args.iter().position(|a| a == flag).map(|i| {
+        args.get(i + 1).cloned().unwrap_or_else(|| {
+            eprintln!("error: {flag} requires a value");
+            std::process::exit(2);
+        })
+    })
+}
+
+/// `flag`'s value in `args` parsed as `T`, or `dflt` when the flag is
+/// absent — the argv helper of the campaign binaries. A missing or
+/// unparsable value is a hard error (exit 2), for the reason given at
+/// [`CliOpts::parse`].
+pub fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, dflt: T) -> T {
+    match flag_value(args, flag) {
+        None => dflt,
+        Some(raw) => raw.parse().unwrap_or_else(|_| {
+            eprintln!("error: invalid value for {flag}: {raw:?}");
+            std::process::exit(2);
+        }),
+    }
+}
+
+/// `flag`'s comma-separated value parsed element-wise (empty elements
+/// skipped), or `dflt` when the flag is absent; exit 2 like
+/// [`parse_flag`].
+pub fn parse_list<T: std::str::FromStr + Clone>(args: &[String], flag: &str, dflt: &[T]) -> Vec<T> {
+    let Some(raw) = flag_value(args, flag) else {
+        return dflt.to_vec();
+    };
+    raw.split(',')
+        .filter(|s| !s.is_empty())
+        .map(|s| {
+            s.parse().unwrap_or_else(|_| {
+                eprintln!("error: invalid value in {flag}: {s:?}");
+                std::process::exit(2);
+            })
+        })
+        .collect()
+}
+
+/// The `--classes a,b,...|all` selection: every class of `all` when the
+/// flag is absent or `all`, the listed labels otherwise (validated by the
+/// campaign, not here).
+pub fn parse_classes(args: &[String], all: &[&str]) -> Vec<String> {
+    match flag_value(args, "--classes").as_deref() {
+        None | Some("all") => all.iter().map(|&c| c.to_string()).collect(),
+        Some(raw) => raw
+            .split(',')
+            .filter(|s| !s.is_empty())
+            .map(str::to_string)
+            .collect(),
     }
 }
 

@@ -1,17 +1,19 @@
-//! Fault-injection recovery-time Monte-Carlo campaign engine — the
+//! Fault-injection recovery-time Monte-Carlo campaign — the
 //! `fault_campaign` binary's core (`BENCH_pr7.json`).
 //!
 //! The campaign sweeps *fault classes × injection sites × generated
-//! topologies*: for each sampled [`TopoParams`] topology and each fault
-//! class, [`injectable_site`] picks a channel/rail/cycle where the fault
-//! is guaranteed to be *effective* (probed against a clean behavioural
-//! pre-run), the network is compiled **with** the corruption gate spliced
-//! into that rail ([`elastic_core::compile::FaultInjection`]), and the
-//! packed wide backend runs
-//! one trial per lane with an **independent per-lane injection window**
-//! ([`PackedStimulus::arm_fault`]) — 64–512 fault instances per tape pass.
+//! topologies*: for each sampled [`elastic_core::gen::TopoParams`]
+//! topology and each fault class, [`injectable_site`] picks a
+//! channel/rail/cycle where the fault is guaranteed to be *effective*
+//! (probed against a clean behavioural pre-run), the network is compiled
+//! **with** the corruption gate spliced into that rail
+//! ([`elastic_core::compile::FaultInjection`]), and the packed wide
+//! backend runs one trial per lane with an **independent per-lane
+//! injection window** ([`elastic_core::verify::PackedStimulus::arm_fault`])
+//! — 64–512 fault instances per tape pass.
 //!
-//! Each lane feeds a streaming [`RecoveryDetector`] on the faulted
+//! Each lane feeds a streaming
+//! [`elastic_core::protocol::RecoveryDetector`] on the faulted
 //! channel's four rails: the detector records every cycle on which the
 //! trace breaks a SELF obligation and the lane has *recovered* once the
 //! violations stop for [`FaultCampaignOpts::recovery_tail`] cycles — the
@@ -24,29 +26,28 @@
 //! non-recovery rate (disturbed lanes still violating at the horizon) and
 //! the mean throughput dip.
 //!
-//! Jobs run through the same generic streaming pipeline as the throughput
-//! engine (`stream::run_pipeline`): the produce stage compiles the
-//! faulted netlist and packs the stimulus, the consume stage executes the
-//! tape — and because every seed derives from the job index, the whole
-//! report is bit-identical for every thread count and queue depth.
+//! A one-shot injection window is the degenerate fault process, so the
+//! campaign is a preset of the stabilization engine (`crate::stabilize`):
+//! each job drives a [`FaultProcess::Periodic`] whose period is the whole
+//! horizon (`one_window`). Its per-lane expansion is exactly one window
+//! starting at `(eff + lane % 4)` clamped into the horizon, and its single
+//! site lowers to the same corruption gate and arm column as a plain
+//! single-fault compile. Jobs run through the streaming pipeline
+//! (`stream::run_pipeline`), and because every seed derives from the job
+//! index, the whole report is bit-identical for every thread count and
+//! queue depth.
 
 use std::io::Write as _;
 use std::time::Instant;
 
-use elastic_core::channel::ChannelSignals;
-use elastic_core::compile::{compile, CompileOptions};
-use elastic_core::gen::{generate, injectable_site, TopoParams};
-use elastic_core::protocol::RecoveryDetector;
-use elastic_core::verify::{NetlistTestbench, PackedStimulus};
+use elastic_core::compile::FaultInjection;
+use elastic_core::fault::FaultProcess;
+use elastic_core::gen::injectable_site;
 use elastic_core::CoreError;
-use elastic_netlist::levelize::Program;
-use elastic_netlist::opt::optimize_observed;
-use elastic_netlist::wide::{lane_masks, WideSim, LANES};
-use elastic_netlist::NetId;
 
-use crate::exp::{default_threads, effective_threads, json_f64, json_str};
-use crate::stream::run_pipeline;
-use crate::{MAX_TRIALS_PER_RUN, MC_DATA_WIDTH};
+use crate::exp::{default_threads, json_f64, json_str};
+use crate::stabilize::{Pool, Settling, Sweep};
+use crate::MAX_TRIALS_PER_RUN;
 
 /// Every transient rail-fault class the campaign can inject, in report
 /// order. (`drop_anti_token` is a *lowering* sabotage, not a transient
@@ -58,11 +59,6 @@ pub const FAULT_CLASSES: [&str; 5] = [
     "duplicate_token",
     "lose_token",
 ];
-
-/// Consecutive lanes get injection windows staggered by `lane % STAGGER`
-/// cycles, so packed trials carry genuinely independent fault instances
-/// (different cycles, different schedules) from one probed base site.
-const WINDOW_STAGGER: usize = 4;
 
 /// Campaign options (the `fault_campaign` CLI surface).
 #[derive(Debug, Clone)]
@@ -78,7 +74,7 @@ pub struct FaultCampaignOpts {
     /// Armed cycles per lane's injection window (clamped to ≥ 1).
     pub window_len: usize,
     /// Violation-free cycles required before a disturbed lane counts as
-    /// recovered ([`RecoveryDetector::recovered`]).
+    /// recovered ([`elastic_core::protocol::RecoveryDetector::recovered`]).
     pub recovery_tail: usize,
     /// Worker threads (clamped like the throughput engine).
     pub threads: usize,
@@ -104,27 +100,6 @@ impl Default for FaultCampaignOpts {
     }
 }
 
-/// One compiled-and-packed campaign job, ready to execute: the produce
-/// stage's payload.
-struct FaultJob {
-    /// Peephole-optimized tape over the observed-cone faulted netlist.
-    prog: Program,
-    /// The faulted channel's `(V⁺, S⁺, V⁻, S⁻)` rails in the observed
-    /// netlist — the recovery detector's feed.
-    site: (NetId, NetId, NetId, NetId),
-    /// The output channel's `(V⁺, S⁺, V⁻)` rails — throughput counting.
-    out: (NetId, NetId, NetId),
-    /// Stimulus with per-lane fault windows armed.
-    armed: PackedStimulus,
-    /// The identical stimulus, fault column all-zero: the fault-free
-    /// reference for the throughput dip.
-    baseline: PackedStimulus,
-    /// Per-lane injection-window start cycles.
-    windows: Vec<usize>,
-    /// Display name of the faulted channel.
-    site_name: String,
-}
-
 /// Per-lane outcome of one armed trial.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LaneOutcome {
@@ -139,6 +114,15 @@ pub struct LaneOutcome {
     pub recovery_cycles: u64,
     /// Fault-free transfer rate minus armed transfer rate at the output.
     pub dip: f64,
+}
+
+impl Settling for LaneOutcome {
+    fn disturbed(&self) -> bool {
+        self.disturbed
+    }
+    fn settled(&self) -> Option<u64> {
+        self.recovered.then_some(self.recovery_cycles)
+    }
 }
 
 /// Outcome of one topology × class job.
@@ -195,16 +179,6 @@ pub struct FaultCampaignReport {
     pub wall_secs: f64,
 }
 
-/// Nearest-rank percentile of a sorted sample (`NaN` for an empty one —
-/// rendered as JSON `null`).
-fn percentile(sorted: &[u64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)] as f64
-}
-
 impl FaultCampaignReport {
     /// Aggregates per-job outcomes into per-class statistics.
     fn aggregate(opts: &FaultCampaignOpts, jobs: &[JobOutcome]) -> Vec<ClassStats> {
@@ -213,36 +187,17 @@ impl FaultCampaignReport {
             .map(|class| {
                 let of_class: Vec<&JobOutcome> =
                     jobs.iter().filter(|j| &j.class == class).collect();
-                let sites = of_class.iter().filter(|j| j.site.is_some()).count();
-                let lanes: Vec<&LaneOutcome> =
-                    of_class.iter().flat_map(|j| j.lanes.iter()).collect();
-                let disturbed: Vec<&&LaneOutcome> = lanes.iter().filter(|l| l.disturbed).collect();
-                let mut samples: Vec<u64> = disturbed
-                    .iter()
-                    .filter(|l| l.recovered)
-                    .map(|l| l.recovery_cycles)
-                    .collect();
-                samples.sort_unstable();
-                let recovered = samples.len();
-                let dips: f64 = disturbed.iter().map(|l| l.dip).sum();
+                let pool = Pool::new(of_class.iter().flat_map(|j| &j.lanes));
                 ClassStats {
                     class: class.clone(),
-                    sites,
-                    trials: lanes.len(),
-                    disturbed: disturbed.len(),
-                    recovered,
-                    recovery_p50: percentile(&samples, 0.50),
-                    recovery_p99: percentile(&samples, 0.99),
-                    non_recovery_rate: if disturbed.is_empty() {
-                        0.0
-                    } else {
-                        1.0 - recovered as f64 / disturbed.len() as f64
-                    },
-                    mean_dip: if disturbed.is_empty() {
-                        0.0
-                    } else {
-                        dips / disturbed.len() as f64
-                    },
+                    sites: of_class.iter().filter(|j| j.site.is_some()).count(),
+                    trials: pool.all.len(),
+                    disturbed: pool.disturbed.len(),
+                    recovered: pool.samples.len(),
+                    recovery_p50: pool.percentile(0.50),
+                    recovery_p99: pool.percentile(0.99),
+                    non_recovery_rate: pool.unsettled_rate(),
+                    mean_dip: pool.disturbed_mean(|l| l.dip),
                 }
             })
             .collect()
@@ -303,216 +258,32 @@ impl FaultCampaignReport {
     }
 }
 
-/// The word width holding `lanes` trials.
-fn width_for(lanes: usize) -> usize {
-    match lanes {
-        n if n <= LANES => 1,
-        n if n <= 2 * LANES => 2,
-        n if n <= 4 * LANES => 4,
-        _ => 8,
+/// The recovery campaign's fault process: one `len`-cycle window of
+/// `fault` from the probed-effective cycle `eff`, clamped into the
+/// `cycles` horizon. A period of the whole horizon leaves room for exactly
+/// one window per lane, and the process's per-lane stagger
+/// ([`elastic_core::fault::PROCESS_STAGGER`], 4) moves lane `k`'s window
+/// to `(eff + k % 4)`, clamped — so each packed lane carries an
+/// independent fault instance (different cycle, different schedule) from
+/// one probed base site.
+fn one_window(fault: FaultInjection, eff: usize, cycles: usize, len: usize) -> FaultProcess {
+    FaultProcess::Periodic {
+        fault,
+        period: cycles,
+        duty: len,
+        start: eff.min(cycles.saturating_sub(len)),
     }
 }
 
-/// Builds one campaign job: sample the topology, probe an effective
-/// injection site, compile with the corruption gate, resolve the observed
-/// rails, pack the stimulus and arm the per-lane windows. Returns `None`
-/// when the topology has no effective site for the class (a skipped job).
-fn build_job(
-    topo: usize,
-    class: &str,
-    opts: &FaultCampaignOpts,
-) -> Result<Option<FaultJob>, CoreError> {
-    let params = TopoParams::sample(opts.seed.wrapping_add(topo as u64));
-    let Ok(sys) = generate(&params) else {
-        return Ok(None);
-    };
-    let sched_seed = opts.seed.wrapping_add((topo * opts.lanes) as u64);
-    let Some((fault, eff)) = injectable_site(&sys, class, sched_seed, opts.cycles) else {
-        return Ok(None);
-    };
-    let opt = compile(
-        &sys.network,
-        &CompileOptions {
-            lint: false,
-            data_width: MC_DATA_WIDTH,
-            nondet_merge: false,
-            optimize: true,
-            fault: Some(fault.clone()),
-            faults: vec![],
-        },
-    )?;
-    let site_name = fault
-        .channel()
-        .expect("rail-fault classes always name a channel")
-        .to_string();
-    let site_chan = sys
-        .network
-        .channels()
-        .find(|&c| sys.network.channel(c).name == site_name)
-        .expect("injectable_site picked an existing channel");
-    let site_rails = &opt.channels[site_chan.index()];
-    let out_rails = &opt.channels[sys.output_channel.index()];
-    // Keep the observed cone: the output's transfer rails plus all four
-    // rails the recovery detector feeds on (deduplicated — the faulted
-    // channel may be the output channel).
-    let mut observe: Vec<NetId> = Vec::new();
-    for id in [
-        out_rails.vp,
-        out_rails.sp,
-        out_rails.vn,
-        site_rails.vp,
-        site_rails.sp,
-        site_rails.vn,
-        site_rails.sn,
-    ] {
-        if !observe.contains(&id) {
-            observe.push(id);
-        }
-    }
-    let (obs, map) = optimize_observed(&opt.netlist, &observe).map_err(CoreError::from)?;
-    let remap = |id: NetId| map[id.index()].expect("observed rails survive as outputs");
-    let tb = NetlistTestbench::with_fault(&sys.network, &obs, MC_DATA_WIDTH, &fault)?;
-    let col = tb.fault_col().ok_or_else(|| {
-        CoreError::FaultSite(format!(
-            "fault {} lowered without an arm input",
-            fault.label()
-        ))
-    })?;
-    let (prog, _) = Program::compile_optimized(&obs).map_err(CoreError::from)?;
-    let width = width_for(opts.lanes);
-    let baseline = PackedStimulus::generate(
-        &tb,
-        &sys.network,
-        &sys.env,
-        sched_seed,
-        opts.lanes,
-        opts.cycles,
-        width,
-    )?;
-    let mut armed = baseline.clone();
-    let len = opts.window_len.max(1);
-    let mut windows = Vec::with_capacity(opts.lanes);
-    for lane in 0..opts.lanes {
-        // Stagger windows so each lane carries an independent fault
-        // instance; the base cycle is effective for lane 0's schedule by
-        // construction, neighbours differ by schedule *and* cycle.
-        let start = (eff + lane % WINDOW_STAGGER).min(opts.cycles.saturating_sub(len));
-        armed.arm_fault(col, lane, start, len)?;
-        windows.push(start);
-    }
-    Ok(Some(FaultJob {
-        prog,
-        site: (
-            remap(site_rails.vp),
-            remap(site_rails.sp),
-            remap(site_rails.vn),
-            remap(site_rails.sn),
-        ),
-        out: (
-            remap(out_rails.vp),
-            remap(out_rails.sp),
-            remap(out_rails.vn),
-        ),
-        armed,
-        baseline,
-        windows,
-        site_name,
-    }))
-}
-
-/// One tape pass: advances every lane through `stim`, counting output
-/// transfers and feeding each lane's recovery detector with the faulted
-/// channel's rails.
-fn drive<const W: usize>(
-    job: &FaultJob,
-    stim: &PackedStimulus,
-) -> Result<(Vec<u32>, Vec<RecoveryDetector>), CoreError> {
-    let lanes = job.windows.len();
-    let mut sim: WideSim<W> = WideSim::from_program(job.prog.clone());
-    sim.check_input_slots(stim.slots())
-        .map_err(CoreError::from)?;
-    let live = lane_masks::<W>(lanes);
-    let (svp, ssp, svn, ssn) = job.site;
-    let (ovp, osp, ovn) = job.out;
-    let mut counts = vec![0u32; lanes];
-    let mut dets = vec![RecoveryDetector::new(); lanes];
-    for t in 0..stim.cycles() {
-        sim.cycle_packed(stim.slots(), stim.row(t));
-        for (w, &mask) in live.iter().enumerate() {
-            let (vpw, spw, vnw, snw) = (
-                sim.word(svp, w),
-                sim.word(ssp, w),
-                sim.word(svn, w),
-                sim.word(ssn, w),
-            );
-            for b in 0..LANES.min(lanes - w * LANES) {
-                dets[w * LANES + b].observe(ChannelSignals {
-                    vp: vpw >> b & 1 == 1,
-                    sp: spw >> b & 1 == 1,
-                    vn: vnw >> b & 1 == 1,
-                    sn: snw >> b & 1 == 1,
-                    data: 0,
-                });
-            }
-            let mut m = sim.word(ovp, w) & !sim.word(osp, w) & !sim.word(ovn, w) & mask;
-            while m != 0 {
-                counts[w * LANES + m.trailing_zeros() as usize] += 1;
-                m &= m - 1;
-            }
-        }
-    }
-    Ok((counts, dets))
-}
-
-/// Executes one built job: the unarmed baseline pass, the armed pass, and
-/// the per-lane classification.
-fn run_job_w<const W: usize>(
-    job: &FaultJob,
-    opts: &FaultCampaignOpts,
-) -> Result<Vec<LaneOutcome>, CoreError> {
-    let (base_counts, base_dets) = drive::<W>(job, &job.baseline)?;
-    let (armed_counts, armed_dets) = drive::<W>(job, &job.armed)?;
-    let cycles = job.armed.cycles() as f64;
-    Ok((0..job.windows.len())
-        .map(|j| {
-            let det = &armed_dets[j];
-            // A generated network is protocol-clean, but gate the
-            // classification on the baseline anyway: only *injected*
-            // violations count as disturbance.
-            let disturbed = det.violations() > base_dets[j].violations();
-            LaneOutcome {
-                disturbed,
-                recovered: det.recovered(opts.recovery_tail),
-                recovery_cycles: det
-                    .last_violation()
-                    .map_or(0, |lv| ((lv + 1).saturating_sub(job.windows[j])) as u64),
-                dip: (f64::from(base_counts[j]) - f64::from(armed_counts[j])) / cycles,
-            }
-        })
-        .collect())
-}
-
-/// Width-dispatched [`run_job_w`].
-fn run_job(job: &FaultJob, opts: &FaultCampaignOpts) -> Result<Vec<LaneOutcome>, CoreError> {
-    match job.armed.width() {
-        1 => run_job_w::<1>(job, opts),
-        2 => run_job_w::<2>(job, opts),
-        4 => run_job_w::<4>(job, opts),
-        8 => run_job_w::<8>(job, opts),
-        w => Err(CoreError::ScheduleBatch(format!(
-            "unsupported stimulus width {w}"
-        ))),
-    }
-}
-
-/// Runs the campaign: `topologies × classes` jobs through the streaming
-/// pipeline, reduced in job order, aggregated per class.
+/// Runs the campaign: `topologies × classes` one-window jobs on the
+/// stabilization engine, reduced in job order, aggregated per class.
 ///
 /// # Errors
 ///
 /// [`CoreError::FaultSite`] for an unknown class label or an unusable
-/// option set; the first job error otherwise (compile or execution
-/// failures — *missing* injection sites are skipped jobs, not errors).
+/// option set (including an injection window longer than the horizon);
+/// the first job error otherwise (compile or execution failures —
+/// *missing* injection sites are skipped jobs, not errors).
 pub fn run_fault_campaign(opts: &FaultCampaignOpts) -> Result<FaultCampaignReport, CoreError> {
     if let Some(bad) = opts
         .classes
@@ -535,41 +306,57 @@ pub fn run_fault_campaign(opts: &FaultCampaignOpts) -> Result<FaultCampaignRepor
             opts.lanes
         )));
     }
+    let len = opts.window_len.max(1);
+    if len > opts.cycles {
+        return Err(CoreError::FaultSite(format!(
+            "injection window of {len} cycles exceeds the {}-cycle horizon",
+            opts.cycles
+        )));
+    }
     let t0 = Instant::now();
     let nc = opts.classes.len();
-    let jobs_total = opts.topologies * nc;
-    let threads = effective_threads(opts.threads, jobs_total);
-    let jobs = if jobs_total == 0 {
-        Vec::new()
-    } else {
-        run_pipeline::<Option<FaultJob>, JobOutcome>(
-            jobs_total,
-            threads,
-            opts.queue,
-            |i| build_job(i / nc, &opts.classes[i % nc], opts),
-            |i, payload| {
-                let (topology, class) = (i / nc, opts.classes[i % nc].clone());
-                match payload {
-                    None => Ok(JobOutcome {
-                        topology,
-                        class,
-                        site: None,
-                        lanes: Vec::new(),
-                    }),
-                    Some(job) => {
-                        let lanes = run_job(&job, opts)?;
-                        Ok(JobOutcome {
-                            topology,
-                            class,
-                            site: Some(job.site_name),
-                            lanes,
-                        })
-                    }
-                }
-            },
-            |_, _| {},
-        )?
+    let sweep = Sweep {
+        topologies: opts.topologies,
+        per_topology: nc,
+        seed: opts.seed,
+        cycles: opts.cycles,
+        lanes: opts.lanes,
+        threads: opts.threads,
+        queue: opts.queue,
     };
+    let (threads, ran) = sweep.run(
+        |i, sys, sched_seed| {
+            let (fault, eff) =
+                injectable_site(sys, &opts.classes[i % nc], sched_seed, opts.cycles)?;
+            Some(one_window(fault, eff, opts.cycles, len))
+        },
+        |run, j| {
+            let det = &run.armed[j];
+            // The lane's single fault event is its window start.
+            let start = run.events[j][0];
+            LaneOutcome {
+                disturbed: run.disturbed(j),
+                recovered: det.recovered(opts.recovery_tail),
+                recovery_cycles: det
+                    .last_violation()
+                    .map_or(0, |lv| (lv as u64 + 1).saturating_sub(start)),
+                dip: run.dip(j),
+            }
+        },
+    )?;
+    let jobs: Vec<JobOutcome> = ran
+        .into_iter()
+        .enumerate()
+        .map(|(i, ran)| {
+            let (site, lanes) = ran.unzip();
+            JobOutcome {
+                topology: i / nc,
+                class: opts.classes[i % nc].clone(),
+                site,
+                lanes: lanes.unwrap_or_default(),
+            }
+        })
+        .collect();
     let classes = FaultCampaignReport::aggregate(opts, &jobs);
     Ok(FaultCampaignReport {
         name: format!(
@@ -592,6 +379,8 @@ pub fn run_fault_campaign(opts: &FaultCampaignOpts) -> Result<FaultCampaignRepor
 #[cfg(test)]
 mod tests {
     use super::*;
+    use elastic_core::compile::FaultRail;
+    use elastic_core::systems::linear_pipeline;
 
     fn small_opts(threads: usize) -> FaultCampaignOpts {
         FaultCampaignOpts {
@@ -657,6 +446,39 @@ mod tests {
         }
     }
 
+    /// The one-window preset expands, per lane, to exactly the window the
+    /// single-fault campaign armed — one `len`-cycle window from
+    /// `(eff + lane % 4)` clamped into the horizon — and that start is the
+    /// lane's single fault event.
+    #[test]
+    fn one_window_preset_is_the_staggered_single_window() {
+        let (net, _, _) = linear_pipeline(2, 1).unwrap();
+        let channel = net.channel(net.channels().next().unwrap()).name.clone();
+        let fault = FaultInjection::RailFlip {
+            channel,
+            rail: FaultRail::Vp,
+        };
+        let cycles = 96;
+        for eff in [0, cycles / 2, cycles - 1] {
+            for len in [1, 8, cycles] {
+                let process = one_window(fault.clone(), eff, cycles, len);
+                process.validate(&net, cycles).unwrap();
+                for lane in 0..512 {
+                    let start = (eff + lane % 4).min(cycles - len);
+                    let at = format!("eff {eff} len {len} lane {lane}");
+                    assert_eq!(
+                        process.windows(7, lane, cycles),
+                        vec![vec![(start, len)]],
+                        "{at}"
+                    );
+                    let merged = process.merged_windows(7, lane, cycles);
+                    assert_eq!(merged[0].0, start as u64, "{at}");
+                    assert_eq!(merged.len(), 1, "{at}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn bad_options_are_fault_site_errors() {
         let base = small_opts(1);
@@ -675,6 +497,11 @@ mod tests {
             },
             FaultCampaignOpts {
                 lanes: MAX_TRIALS_PER_RUN + 1,
+                ..base.clone()
+            },
+            FaultCampaignOpts {
+                cycles: 32,
+                window_len: 40,
                 ..base.clone()
             },
         ] {

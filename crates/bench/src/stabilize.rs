@@ -32,8 +32,10 @@
 //! self-stabilization proof. Systems too wide for exhaustive exploration
 //! record a typed skip, never a wedged campaign.
 //!
-//! Jobs run through the generic streaming pipeline (`stream::run_pipeline`)
-//! with index-derived seeds and in-order reduction, so the whole report is
+//! The job engine (`Sweep`) is shared with the recovery campaign
+//! (`crate::fault`), which runs on it as the one-window preset. Jobs run
+//! through the generic streaming pipeline (`stream::run_pipeline`) with
+//! index-derived seeds and in-order reduction, so the whole report is
 //! bit-identical for every thread count and queue depth.
 
 use std::io::Write as _;
@@ -42,7 +44,7 @@ use std::time::Instant;
 use elastic_core::channel::ChannelSignals;
 use elastic_core::compile::{compile, CompileOptions, FaultInjection, FaultRail};
 use elastic_core::fault::FaultProcess;
-use elastic_core::gen::{generate, injectable_site, TopoParams};
+use elastic_core::gen::{generate, injectable_site, GeneratedSystem, TopoParams};
 use elastic_core::protocol::RecoveryDetector;
 use elastic_core::systems::{linear_pipeline, paper_example, Config};
 use elastic_core::verify::{check_network_convergence, NetlistTestbench, PackedStimulus};
@@ -108,25 +110,6 @@ impl Default for StabilizationOpts {
             mc_topologies: 4,
         }
     }
-}
-
-/// One compiled-and-armed campaign job, ready to execute.
-struct StabJob {
-    /// Peephole-optimized tape over the observed-cone netlist.
-    prog: Program,
-    /// The primary site's `(V⁺, S⁺, V⁻, S⁻)` rails — the tracker's feed.
-    site: (NetId, NetId, NetId, NetId),
-    /// The output channel's `(V⁺, S⁺, V⁻)` rails — throughput counting.
-    out: (NetId, NetId, NetId),
-    /// Stimulus with every site's per-lane process windows armed.
-    armed: PackedStimulus,
-    /// The identical stimulus, all arm columns zero.
-    baseline: PackedStimulus,
-    /// Per-lane fault-event cycles (starts of merged disturbance
-    /// intervals), sorted ascending.
-    events: Vec<Vec<u64>>,
-    /// Display name of the primary faulted channel.
-    site_name: String,
 }
 
 /// Per-lane outcome of one armed trial under a fault process.
@@ -240,40 +223,86 @@ pub struct StabilizationReport {
     pub wall_secs: f64,
 }
 
-/// Nearest-rank percentile of a sorted sample (`NaN` for an empty one —
-/// rendered as JSON `null`).
-fn percentile(sorted: &[u64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)] as f64
+/// A per-lane outcome the pooled statistics read, whichever preset
+/// produced it.
+pub(crate) trait Settling {
+    /// The armed run violated an obligation the unarmed run did not.
+    fn disturbed(&self) -> bool;
+    /// Cycles the lane took to settle back into `(I*R*T)*` (recovery or
+    /// stabilization time); `None` when it never did.
+    fn settled(&self) -> Option<u64>;
 }
 
-/// Pools the lanes of `jobs`, returning (trials, disturbed, stabilized,
-/// sorted stabilization samples, Σ violation-rate over disturbed, Σ dip
-/// over **all** trials — a sustained stall dents throughput without ever
-/// violating the protocol, so the dip curve must not condition on
-/// disturbance).
-fn pool(jobs: &[&StabJobOutcome]) -> (usize, usize, usize, Vec<u64>, f64, f64) {
-    let lanes: Vec<&LaneStabilization> = jobs.iter().flat_map(|j| j.lanes.iter()).collect();
-    let disturbed: Vec<&&LaneStabilization> = lanes.iter().filter(|l| l.disturbed).collect();
-    let mut samples: Vec<u64> = disturbed
-        .iter()
-        .filter(|l| l.stabilized)
-        .map(|l| l.stab_cycles)
-        .collect();
-    samples.sort_unstable();
-    let vr: f64 = disturbed.iter().map(|l| l.violation_rate).sum();
-    let dips: f64 = lanes.iter().map(|l| l.dip).sum();
-    (
-        lanes.len(),
-        disturbed.len(),
-        samples.len(),
-        samples,
-        vr,
-        dips,
-    )
+impl Settling for LaneStabilization {
+    fn disturbed(&self) -> bool {
+        self.disturbed
+    }
+    fn settled(&self) -> Option<u64> {
+        self.stabilized.then_some(self.stab_cycles)
+    }
+}
+
+/// The lanes of a set of jobs pooled for aggregation: every lane, the
+/// disturbed ones, and the sorted settle times of the disturbed lanes
+/// that settled.
+pub(crate) struct Pool<'a, L> {
+    /// Every armed trial.
+    pub(crate) all: Vec<&'a L>,
+    /// Trials that observed an injected violation.
+    pub(crate) disturbed: Vec<&'a L>,
+    /// Settle times of the disturbed-and-settled trials, ascending.
+    pub(crate) samples: Vec<u64>,
+}
+
+impl<'a, L: Settling> Pool<'a, L> {
+    pub(crate) fn new(lanes: impl IntoIterator<Item = &'a L>) -> Self {
+        let all: Vec<&L> = lanes.into_iter().collect();
+        let disturbed: Vec<&L> = all.iter().copied().filter(|l| l.disturbed()).collect();
+        let mut samples: Vec<u64> = disturbed.iter().filter_map(|l| l.settled()).collect();
+        samples.sort_unstable();
+        Pool {
+            all,
+            disturbed,
+            samples,
+        }
+    }
+
+    /// Nearest-rank percentile of the settle times (`NaN` for an empty
+    /// sample — rendered as JSON `null`).
+    pub(crate) fn percentile(&self, q: f64) -> f64 {
+        let Some(last) = self.samples.len().checked_sub(1) else {
+            return f64::NAN;
+        };
+        let idx = (last as f64 * q).round() as usize;
+        self.samples[idx.min(last)] as f64
+    }
+
+    /// `1 − settled/disturbed` (0 when nothing was disturbed).
+    pub(crate) fn unsettled_rate(&self) -> f64 {
+        if self.disturbed.is_empty() {
+            0.0
+        } else {
+            1.0 - self.samples.len() as f64 / self.disturbed.len() as f64
+        }
+    }
+
+    /// Mean of `f` over the disturbed trials (0 when there are none).
+    pub(crate) fn disturbed_mean(&self, f: impl Fn(&L) -> f64) -> f64 {
+        mean(&self.disturbed, f)
+    }
+
+    /// Mean of `f` over every trial (0 when there are none).
+    pub(crate) fn mean(&self, f: impl Fn(&L) -> f64) -> f64 {
+        mean(&self.all, f)
+    }
+}
+
+fn mean<L>(lanes: &[&L], f: impl Fn(&L) -> f64) -> f64 {
+    if lanes.is_empty() {
+        0.0
+    } else {
+        lanes.iter().map(|l| f(l)).sum::<f64>() / lanes.len() as f64
+    }
 }
 
 impl StabilizationReport {
@@ -293,49 +322,31 @@ impl StabilizationReport {
                             .filter(|j| j.intensity == intensity)
                             .copied()
                             .collect();
-                        let sites = cell.iter().filter(|j| j.site.is_some()).count();
-                        let (trials, disturbed, stabilized, samples, vr, dips) = pool(&cell);
+                        let pool = Pool::new(cell.iter().flat_map(|j| &j.lanes));
                         IntensityStats {
                             intensity,
-                            sites,
-                            trials,
-                            disturbed,
-                            stabilized,
-                            stab_p50: percentile(&samples, 0.50),
-                            stab_p99: percentile(&samples, 0.99),
-                            non_stabilization_rate: if disturbed == 0 {
-                                0.0
-                            } else {
-                                1.0 - stabilized as f64 / disturbed as f64
-                            },
-                            mean_violation_rate: if disturbed == 0 {
-                                0.0
-                            } else {
-                                vr / disturbed as f64
-                            },
-                            mean_dip: if trials == 0 {
-                                0.0
-                            } else {
-                                dips / trials as f64
-                            },
+                            sites: cell.iter().filter(|j| j.site.is_some()).count(),
+                            trials: pool.all.len(),
+                            disturbed: pool.disturbed.len(),
+                            stabilized: pool.samples.len(),
+                            stab_p50: pool.percentile(0.50),
+                            stab_p99: pool.percentile(0.99),
+                            non_stabilization_rate: pool.unsettled_rate(),
+                            mean_violation_rate: pool.disturbed_mean(|l| l.violation_rate),
+                            // Not conditioned on disturbance: a sustained
+                            // stall dents throughput while staying
+                            // protocol-legal.
+                            mean_dip: pool.mean(|l| l.dip),
                         }
                     })
                     .collect();
-                let (_, disturbed, stabilized, samples, vr, _) = pool(&of_class);
+                let pool = Pool::new(of_class.iter().flat_map(|j| &j.lanes));
                 ProcessClassStats {
                     class: class.clone(),
-                    stab_p50: percentile(&samples, 0.50),
-                    stab_p99: percentile(&samples, 0.99),
-                    non_stabilization_rate: if disturbed == 0 {
-                        0.0
-                    } else {
-                        1.0 - stabilized as f64 / disturbed as f64
-                    },
-                    mean_violation_rate: if disturbed == 0 {
-                        0.0
-                    } else {
-                        vr / disturbed as f64
-                    },
+                    stab_p50: pool.percentile(0.50),
+                    stab_p99: pool.percentile(0.99),
+                    non_stabilization_rate: pool.unsettled_rate(),
+                    mean_violation_rate: pool.disturbed_mean(|l| l.violation_rate),
                     points,
                 }
             })
@@ -441,29 +452,19 @@ impl StabilizationReport {
     }
 }
 
-/// The word width holding `lanes` trials.
-fn width_for(lanes: usize) -> usize {
-    match lanes {
-        n if n <= LANES => 1,
-        n if n <= 2 * LANES => 2,
-        n if n <= 4 * LANES => 4,
-        _ => 8,
-    }
-}
-
 /// Constructs the fault process a job drives, or `None` when the sampled
 /// topology offers no usable site for the class — the choice is a pure
 /// function of `(sys, class, intensity, opts, sched_seed)`, so every
 /// worker count builds the same process.
 fn build_process(
-    sys: &elastic_core::gen::GeneratedSystem,
+    sys: &GeneratedSystem,
     class: &str,
     intensity: usize,
     opts: &StabilizationOpts,
     sched_seed: u64,
 ) -> Option<FaultProcess> {
     let cycles = opts.cycles;
-    let process = match class {
+    Some(match class {
         "periodic" => {
             let (fault, eff) = injectable_site(sys, "rail_flip", sched_seed, cycles)?;
             FaultProcess::Periodic {
@@ -540,135 +541,267 @@ fn build_process(
             }
         }
         _ => return None,
-    };
-    // The constructions above are clamped to validate by design; a
-    // topology that still fails (e.g. a degenerate horizon) is a skip,
-    // not a campaign abort.
-    process.validate(&sys.network, cycles).ok()?;
-    Some(process)
+    })
 }
 
-/// Builds one campaign job: sample the topology, construct the process,
-/// compile with one corruption gate per site, pack the stimulus and arm
-/// every site's per-lane windows.
-fn build_job(
-    topo: usize,
-    class: &str,
-    intensity: usize,
-    opts: &StabilizationOpts,
-) -> Result<Option<StabJob>, CoreError> {
-    let params = TopoParams::sample(opts.seed.wrapping_add(topo as u64));
-    let Ok(sys) = generate(&params) else {
-        return Ok(None);
-    };
-    let sched_seed = opts.seed.wrapping_add((topo * opts.lanes) as u64);
-    let Some(process) = build_process(&sys, class, intensity, opts, sched_seed) else {
-        return Ok(None);
-    };
-    let sites = process.sites();
-    let opt = compile(
-        &sys.network,
-        &CompileOptions {
-            lint: false,
-            data_width: MC_DATA_WIDTH,
-            nondet_merge: false,
-            optimize: true,
-            fault: None,
-            faults: sites.clone(),
-        },
-    )?;
-    let site_name = sites[0]
-        .channel()
-        .expect("process sites are rail faults")
-        .to_string();
-    // Observe the output's transfer rails plus all four rails of every
-    // site channel (keeps each corruption gate and its arm input in the
-    // observed cone), deduplicated.
-    let out_rails = &opt.channels[sys.output_channel.index()];
-    let mut observe: Vec<NetId> = vec![out_rails.vp, out_rails.sp, out_rails.vn];
-    let mut primary = None;
-    for site in &sites {
-        let name = site.channel().expect("rail fault").to_string();
-        let chan = sys
-            .network
-            .channels()
-            .find(|&c| sys.network.channel(c).name == name)
-            .expect("validated channel exists");
-        if primary.is_none() {
-            primary = Some(chan);
+/// The job sweep both fault campaigns run on: `topologies × per_topology`
+/// jobs, job `i` on generated topology `i / per_topology`, each driving
+/// one [`FaultProcess`] over `lanes` packed trials of `cycles` cycles.
+///
+/// The stabilization campaign drives whole processes; the recovery
+/// campaign (`crate::fault`) is the one-window preset, a
+/// [`FaultProcess::Periodic`] whose period is the whole horizon. The two
+/// differ only in the process a job builds, the per-lane mapping of the
+/// two tape passes ([`JobRun`]) and the report they aggregate.
+pub(crate) struct Sweep {
+    /// Generated topologies (seeds `seed..seed + topologies`).
+    pub(crate) topologies: usize,
+    /// Jobs per topology (classes, times intensities).
+    pub(crate) per_topology: usize,
+    /// Base seed for topology sampling and schedule generation.
+    pub(crate) seed: u64,
+    /// Cycles per trial.
+    pub(crate) cycles: usize,
+    /// Trials (= packed lanes) per job.
+    pub(crate) lanes: usize,
+    /// Requested worker threads (clamped like the throughput engine).
+    pub(crate) threads: usize,
+    /// Streaming-pipeline job queue depth.
+    pub(crate) queue: usize,
+}
+
+/// One engine job's result: the primary faulted channel and the per-lane
+/// outcomes, or `None` when the topology had no usable process (a skipped
+/// job, not a failure).
+pub(crate) type Ran<L> = Option<(String, Vec<L>)>;
+
+/// One compiled-and-armed job, ready to execute: the produce stage's
+/// payload.
+struct Job {
+    /// Peephole-optimized tape over the observed-cone netlist.
+    prog: Program,
+    /// The primary site's `(V⁺, S⁺, V⁻, S⁻)` rails — the tracker's feed.
+    site: (NetId, NetId, NetId, NetId),
+    /// The output channel's `(V⁺, S⁺, V⁻)` rails — throughput counting.
+    out: (NetId, NetId, NetId),
+    /// Stimulus with every site's per-lane process windows armed.
+    armed: PackedStimulus,
+    /// The identical stimulus, all arm columns zero.
+    baseline: PackedStimulus,
+    /// Per-lane fault-event cycles (starts of merged disturbance
+    /// intervals), sorted ascending.
+    events: Vec<Vec<u64>>,
+    /// Display name of the primary faulted channel.
+    site_name: String,
+}
+
+/// Both tape passes of one job, per lane: the unarmed baseline and the
+/// armed run of the identical stimulus.
+pub(crate) struct JobRun {
+    /// Baseline-pass trackers.
+    base: Vec<RecoveryDetector>,
+    /// Armed-pass trackers, retimed at every fault event.
+    pub(crate) armed: Vec<RecoveryDetector>,
+    /// Baseline output transfers.
+    base_counts: Vec<u32>,
+    /// Armed output transfers.
+    armed_counts: Vec<u32>,
+    /// Per-lane fault-event cycles, ascending.
+    pub(crate) events: Vec<Vec<u64>>,
+    /// Trial horizon.
+    cycles: f64,
+}
+
+impl JobRun {
+    /// The armed run violated an obligation the unarmed run did not. A
+    /// generated network is protocol-clean, but gate on the baseline
+    /// anyway: only *injected* violations count as disturbance.
+    pub(crate) fn disturbed(&self, lane: usize) -> bool {
+        self.armed[lane].violations() > self.base[lane].violations()
+    }
+
+    /// Fault-free transfer rate minus armed transfer rate at the output.
+    pub(crate) fn dip(&self, lane: usize) -> f64 {
+        (f64::from(self.base_counts[lane]) - f64::from(self.armed_counts[lane])) / self.cycles
+    }
+}
+
+impl Sweep {
+    /// Runs every job through the streaming pipeline — produce = build the
+    /// job's process, compile and arm it; consume = both tape passes,
+    /// mapped per lane by `lane` — and returns the worker threads spawned
+    /// with the per-job results in job order. `process(i, sys,
+    /// sched_seed)` builds job `i`'s process on its topology; a process
+    /// that fails [`FaultProcess::validate`] skips the job.
+    ///
+    /// # Errors
+    ///
+    /// The first job error (compile or execution failures).
+    pub(crate) fn run<L: Send>(
+        &self,
+        process: impl Fn(usize, &GeneratedSystem, u64) -> Option<FaultProcess> + Sync,
+        lane: impl Fn(&JobRun, usize) -> L + Sync,
+    ) -> Result<(usize, Vec<Ran<L>>), CoreError> {
+        let total = self.topologies * self.per_topology;
+        let threads = effective_threads(self.threads, total);
+        if total == 0 {
+            return Ok((threads, Vec::new()));
         }
-        let r = &opt.channels[chan.index()];
-        for id in [r.vp, r.sp, r.vn, r.sn] {
-            if !observe.contains(&id) {
-                observe.push(id);
+        let jobs = run_pipeline::<Option<Job>, Ran<L>>(
+            total,
+            threads,
+            self.queue,
+            |i| self.build_job(i, &process),
+            |_, payload| {
+                let Some(job) = payload else {
+                    return Ok(None);
+                };
+                let (site, run) = run_job(job)?;
+                Ok(Some((
+                    site,
+                    (0..self.lanes).map(|j| lane(&run, j)).collect(),
+                )))
+            },
+            |_, _| {},
+        )?;
+        Ok((threads, jobs))
+    }
+
+    /// Builds job `i`: sample its topology, construct and validate the
+    /// process, compile with one corruption gate per site, pack the
+    /// stimulus and arm every site's per-lane windows. Returns `None` for
+    /// a skipped job.
+    fn build_job(
+        &self,
+        i: usize,
+        process_of: &impl Fn(usize, &GeneratedSystem, u64) -> Option<FaultProcess>,
+    ) -> Result<Option<Job>, CoreError> {
+        let topo = i / self.per_topology;
+        let params = TopoParams::sample(self.seed.wrapping_add(topo as u64));
+        let Ok(sys) = generate(&params) else {
+            return Ok(None);
+        };
+        let sched_seed = self.seed.wrapping_add((topo * self.lanes) as u64);
+        // The presets clamp their processes to validate by design; a
+        // topology that still fails (e.g. a degenerate horizon) is a
+        // skip, not a campaign abort.
+        let Some(process) = process_of(i, &sys, sched_seed)
+            .filter(|p| p.validate(&sys.network, self.cycles).is_ok())
+        else {
+            return Ok(None);
+        };
+        let sites = process.sites();
+        let opt = compile(
+            &sys.network,
+            &CompileOptions {
+                lint: false,
+                data_width: MC_DATA_WIDTH,
+                nondet_merge: false,
+                optimize: true,
+                fault: None,
+                faults: sites.clone(),
+            },
+        )?;
+        let site_name = sites[0]
+            .channel()
+            .expect("process sites are rail faults")
+            .to_string();
+        // Observe the output's transfer rails plus all four rails of every
+        // site channel (keeps each corruption gate and its arm input in the
+        // observed cone), deduplicated.
+        let out_rails = &opt.channels[sys.output_channel.index()];
+        let mut observe: Vec<NetId> = vec![out_rails.vp, out_rails.sp, out_rails.vn];
+        let mut primary = None;
+        for site in &sites {
+            let name = site.channel().expect("rail fault").to_string();
+            let chan = sys
+                .network
+                .channels()
+                .find(|&c| sys.network.channel(c).name == name)
+                .expect("validated channel exists");
+            if primary.is_none() {
+                primary = Some(chan);
+            }
+            let r = &opt.channels[chan.index()];
+            for id in [r.vp, r.sp, r.vn, r.sn] {
+                if !observe.contains(&id) {
+                    observe.push(id);
+                }
             }
         }
-    }
-    let (obs, map) = optimize_observed(&opt.netlist, &observe).map_err(CoreError::from)?;
-    let remap = |id: NetId| map[id.index()].expect("observed rails survive as outputs");
-    let tb = NetlistTestbench::with_faults(&sys.network, &obs, MC_DATA_WIDTH, &sites)?;
-    let cols = tb.fault_cols();
-    if cols.len() != sites.len() {
-        return Err(CoreError::FaultSite(format!(
-            "{} fault sites lowered to {} arm columns",
-            sites.len(),
-            cols.len()
-        )));
-    }
-    let (prog, _) = Program::compile_optimized(&obs).map_err(CoreError::from)?;
-    let width = width_for(opts.lanes);
-    let baseline = PackedStimulus::generate(
-        &tb,
-        &sys.network,
-        &sys.env,
-        sched_seed,
-        opts.lanes,
-        opts.cycles,
-        width,
-    )?;
-    let mut armed = baseline.clone();
-    let mut events = Vec::with_capacity(opts.lanes);
-    for lane in 0..opts.lanes {
-        for (site, windows) in process
-            .windows(sched_seed, lane, opts.cycles)
-            .iter()
-            .enumerate()
-        {
-            for &(start, len) in windows {
-                armed.arm_fault(cols[site], lane, start, len)?;
-            }
+        let (obs, map) = optimize_observed(&opt.netlist, &observe).map_err(CoreError::from)?;
+        let remap = |id: NetId| map[id.index()].expect("observed rails survive as outputs");
+        let tb = NetlistTestbench::with_faults(&sys.network, &obs, MC_DATA_WIDTH, &sites)?;
+        let cols = tb.fault_cols();
+        if cols.len() != sites.len() {
+            return Err(CoreError::FaultSite(format!(
+                "{} fault sites lowered to {} arm columns",
+                sites.len(),
+                cols.len()
+            )));
         }
-        events.push(
-            process
-                .merged_windows(sched_seed, lane, opts.cycles)
+        let (prog, _) = Program::compile_optimized(&obs).map_err(CoreError::from)?;
+        // The word width holding `lanes` trials.
+        let width = match self.lanes {
+            n if n <= LANES => 1,
+            n if n <= 2 * LANES => 2,
+            n if n <= 4 * LANES => 4,
+            _ => 8,
+        };
+        let baseline = PackedStimulus::generate(
+            &tb,
+            &sys.network,
+            &sys.env,
+            sched_seed,
+            self.lanes,
+            self.cycles,
+            width,
+        )?;
+        let mut armed = baseline.clone();
+        let mut events = Vec::with_capacity(self.lanes);
+        for lane in 0..self.lanes {
+            for (site, windows) in process
+                .windows(sched_seed, lane, self.cycles)
                 .iter()
-                .map(|&(s, _)| s)
-                .collect(),
-        );
+                .enumerate()
+            {
+                for &(start, len) in windows {
+                    armed.arm_fault(cols[site], lane, start, len)?;
+                }
+            }
+            events.push(
+                process
+                    .merged_windows(sched_seed, lane, self.cycles)
+                    .iter()
+                    .map(|&(s, _)| s)
+                    .collect(),
+            );
+        }
+        let sr = &opt.channels[primary.expect("at least one site").index()];
+        Ok(Some(Job {
+            prog,
+            site: (remap(sr.vp), remap(sr.sp), remap(sr.vn), remap(sr.sn)),
+            out: (
+                remap(out_rails.vp),
+                remap(out_rails.sp),
+                remap(out_rails.vn),
+            ),
+            armed,
+            baseline,
+            events,
+            site_name,
+        }))
     }
-    let sr = &opt.channels[primary.expect("at least one site").index()];
-    Ok(Some(StabJob {
-        prog,
-        site: (remap(sr.vp), remap(sr.sp), remap(sr.vn), remap(sr.sn)),
-        out: (
-            remap(out_rails.vp),
-            remap(out_rails.sp),
-            remap(out_rails.vn),
-        ),
-        armed,
-        baseline,
-        events,
-        site_name,
-    }))
 }
 
 /// One tape pass: advances every lane through `stim`, counting output
-/// transfers and feeding each lane's tracker — with fault events marked at
-/// the lane's disturbance-interval starts when `retime` is set.
+/// transfers and feeding each lane's tracker, with fault events marked at
+/// the lane's disturbance-interval starts. (The marks only retime
+/// [`RecoveryDetector::stabilization_time`]; violation counts, the last
+/// violation and [`RecoveryDetector::recovered`] ignore them.)
 fn drive<const W: usize>(
-    job: &StabJob,
+    job: &Job,
     stim: &PackedStimulus,
-    retime: bool,
 ) -> Result<(Vec<u32>, Vec<RecoveryDetector>), CoreError> {
     let lanes = job.events.len();
     let mut sim: WideSim<W> = WideSim::from_program(job.prog.clone());
@@ -681,12 +814,10 @@ fn drive<const W: usize>(
     let mut dets = vec![RecoveryDetector::new(); lanes];
     let mut cursor = vec![0usize; lanes];
     for t in 0..stim.cycles() {
-        if retime {
-            for (k, det) in dets.iter_mut().enumerate() {
-                if job.events[k].get(cursor[k]) == Some(&(t as u64)) {
-                    det.fault_event();
-                    cursor[k] += 1;
-                }
+        for (k, det) in dets.iter_mut().enumerate() {
+            if job.events[k].get(cursor[k]) == Some(&(t as u64)) {
+                det.fault_event();
+                cursor[k] += 1;
             }
         }
         sim.cycle_packed(stim.slots(), stim.row(t));
@@ -716,42 +847,32 @@ fn drive<const W: usize>(
     Ok((counts, dets))
 }
 
-/// Executes one built job: unarmed baseline pass, armed pass with fault
-/// events, per-lane classification.
-fn run_job_w<const W: usize>(
-    job: &StabJob,
-    opts: &StabilizationOpts,
-) -> Result<Vec<LaneStabilization>, CoreError> {
-    let (base_counts, base_dets) = drive::<W>(job, &job.baseline, false)?;
-    let (armed_counts, armed_dets) = drive::<W>(job, &job.armed, true)?;
-    let cycles = job.armed.cycles() as f64;
-    Ok((0..job.events.len())
-        .map(|j| {
-            let det = &armed_dets[j];
-            let disturbed = det.violations() > base_dets[j].violations();
-            let stab = det.stabilization_time(opts.recovery_tail);
-            LaneStabilization {
-                disturbed,
-                stabilized: stab.is_some(),
-                stab_cycles: stab.unwrap_or(0),
-                violation_rate: det.violation_rate(),
-                dip: (f64::from(base_counts[j]) - f64::from(armed_counts[j])) / cycles,
-            }
-        })
-        .collect())
-}
-
-/// Width-dispatched [`run_job_w`].
-fn run_job(job: &StabJob, opts: &StabilizationOpts) -> Result<Vec<LaneStabilization>, CoreError> {
-    match job.armed.width() {
-        1 => run_job_w::<1>(job, opts),
-        2 => run_job_w::<2>(job, opts),
-        4 => run_job_w::<4>(job, opts),
-        8 => run_job_w::<8>(job, opts),
-        w => Err(CoreError::ScheduleBatch(format!(
-            "unsupported stimulus width {w}"
-        ))),
-    }
+/// Executes one built job — the unarmed baseline pass, then the armed
+/// pass, at the stimulus word width — returning its primary site name and
+/// both passes.
+fn run_job(job: Job) -> Result<(String, JobRun), CoreError> {
+    let drive = match job.armed.width() {
+        1 => drive::<1>,
+        2 => drive::<2>,
+        4 => drive::<4>,
+        8 => drive::<8>,
+        w => {
+            return Err(CoreError::ScheduleBatch(format!(
+                "unsupported stimulus width {w}"
+            )))
+        }
+    };
+    let (base_counts, base) = drive(&job, &job.baseline)?;
+    let (armed_counts, armed) = drive(&job, &job.armed)?;
+    let run = JobRun {
+        base,
+        armed,
+        base_counts,
+        armed_counts,
+        cycles: job.armed.cycles() as f64,
+        events: job.events,
+    };
+    Ok((job.site_name, run))
 }
 
 /// The budget every convergence exploration runs under: wide enough for
@@ -933,50 +1054,46 @@ pub fn run_stabilization_campaign(
     let t0 = Instant::now();
     let nc = opts.classes.len();
     let ni = opts.intensities.len();
-    let jobs_total = opts.topologies * nc * ni;
-    let threads = effective_threads(opts.threads, jobs_total);
-    let jobs = if jobs_total == 0 {
-        Vec::new()
-    } else {
-        run_pipeline::<Option<StabJob>, StabJobOutcome>(
-            jobs_total,
-            threads,
-            opts.queue,
-            |i| {
-                build_job(
-                    i / (nc * ni),
-                    &opts.classes[i / ni % nc],
-                    opts.intensities[i % ni],
-                    opts,
-                )
-            },
-            |i, payload| {
-                let topology = i / (nc * ni);
-                let class = opts.classes[i / ni % nc].clone();
-                let intensity = opts.intensities[i % ni];
-                match payload {
-                    None => Ok(StabJobOutcome {
-                        topology,
-                        class,
-                        intensity,
-                        site: None,
-                        lanes: Vec::new(),
-                    }),
-                    Some(job) => {
-                        let lanes = run_job(&job, opts)?;
-                        Ok(StabJobOutcome {
-                            topology,
-                            class,
-                            intensity,
-                            site: Some(job.site_name),
-                            lanes,
-                        })
-                    }
-                }
-            },
-            |_, _| {},
-        )?
+    let sweep = Sweep {
+        topologies: opts.topologies,
+        per_topology: nc * ni,
+        seed: opts.seed,
+        cycles: opts.cycles,
+        lanes: opts.lanes,
+        threads: opts.threads,
+        queue: opts.queue,
     };
+    let (threads, ran) = sweep.run(
+        |i, sys, sched_seed| {
+            let (class, intensity) = (&opts.classes[i / ni % nc], opts.intensities[i % ni]);
+            build_process(sys, class, intensity, opts, sched_seed)
+        },
+        |run, j| {
+            let det = &run.armed[j];
+            let stab = det.stabilization_time(opts.recovery_tail);
+            LaneStabilization {
+                disturbed: run.disturbed(j),
+                stabilized: stab.is_some(),
+                stab_cycles: stab.unwrap_or(0),
+                violation_rate: det.violation_rate(),
+                dip: run.dip(j),
+            }
+        },
+    )?;
+    let jobs: Vec<StabJobOutcome> = ran
+        .into_iter()
+        .enumerate()
+        .map(|(i, ran)| {
+            let (site, lanes) = ran.unzip();
+            StabJobOutcome {
+                topology: i / (nc * ni),
+                class: opts.classes[i / ni % nc].clone(),
+                intensity: opts.intensities[i % ni],
+                site,
+                lanes: lanes.unwrap_or_default(),
+            }
+        })
+        .collect();
     let classes = StabilizationReport::aggregate(opts, &jobs);
     let mc = mc_section(opts);
     Ok(StabilizationReport {

@@ -19,7 +19,7 @@ use elastic_core::compile::{compile, CompileOptions};
 use elastic_core::corpus::{self, CorpusConfig, Knobs, DESIGNS};
 use elastic_core::gen::{generate, TopoParams, GEN_DATA_WIDTH};
 use elastic_core::systems::{paper_example, Config};
-use elastic_lint::{lint_network_with_env, lint_program, LintReport};
+use elastic_lint::{json_str, lint_network_with_env, lint_program, LintReport};
 use elastic_netlist::levelize::Program;
 
 fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, dflt: T) -> T {
@@ -189,7 +189,7 @@ fn main() {
             s.push_str(&format!(
                 "    {{\"name\": {}, \"errors\": {}, \"warnings\": {}, \
                  \"diagnostics\": {diags}}}{sep}\n",
-                json_escape(&t.name),
+                json_str(&t.name),
                 t.report.errors().count(),
                 t.report.warnings().count(),
             ));
@@ -206,17 +206,4 @@ fn main() {
     }
 
     std::process::exit(i32::from(errors > 0));
-}
-
-/// Minimal JSON string escaping for target names (always simple labels,
-/// but stay correct anyway).
-fn json_escape(s: &str) -> String {
-    let escaped: String = s
-        .chars()
-        .flat_map(|c| match c {
-            '"' | '\\' => vec!['\\', c],
-            c => vec![c],
-        })
-        .collect();
-    format!("\"{escaped}\"")
 }

@@ -233,10 +233,11 @@ impl LintReport {
     }
 }
 
-/// JSON string escaping (same rules as the bench crate's reports: the
-/// workspace vendors no serde, so each crate that emits JSON carries this
-/// ~20-line escaper).
-pub(crate) fn json_str(s: &str) -> String {
+/// JSON string escaping (quotes, backslashes, control characters) — the
+/// same rules as the bench crate's reports: the workspace vendors no
+/// serde, so each crate that emits JSON carries this ~20-line escaper.
+/// Public so the `elint` driver renders target names with it.
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
